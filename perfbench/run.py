@@ -12,8 +12,8 @@ line is the result:
     {"correct": true, "attempted": N, "failed": 0, "metrics": {...}}
 
 --trace 0 reports every end-to-end metric of BENCHMARK.json, --trace 1
-every per-layer one. The traced run also runs the untraced binary on the
-same workload and seed, so it can report the tracing overhead. Each run
+every per-layer one, including the tracing overhead (for serving it runs
+the untraced binary for up to 15 s as well). Each run
 appends its full record (metrics, metadata such as nproc and sample
 counts) to .bench_out/results.jsonl and, when traced, writes a Chrome
 trace to .bench_out/trace-<workload>-<seed>.json. The exit code is 0 only
@@ -34,6 +34,8 @@ OUT = os.path.join(ROOT, ".bench_out")
 WORKLOADS = ["train", "serve-hot", "serve-cold", "serve-reload"]
 BUILD_TIMEOUT_S = 850
 RUN_DEADLINE_S = 175
+# Length of the untraced run a traced serving run compares against.
+BASELINE_S = 15
 
 
 def fail(message):
@@ -115,34 +117,40 @@ def main():
     deadline = time.monotonic() + RUN_DEADLINE_S
 
     tag = "%s-%d" % (args.workload, args.seed)
-    common = ["--workload", args.workload, "--seed", str(args.seed),
-              "--seconds", repr(args.seconds)]
+    common = ["--workload", args.workload, "--seed", str(args.seed)]
     if args.inject:
         common += ["--inject", args.inject]
-    base = run_binary(plain, common + ["--work-dir",
-                                       os.path.join(OUT, "work", tag)],
-                      deadline)
-    record = base
-    if args.trace:
-        trace_path = os.path.join(OUT, "trace-%s.json" % tag)
+
+    def run_plain(seconds):
+        return run_binary(plain, common + [
+            "--seconds", repr(seconds),
+            "--work-dir", os.path.join(OUT, "work", tag)], deadline)
+
+    if not args.trace:
+        record = run_plain(args.seconds)
+    else:
         record = run_binary(traced, common + [
+            "--seconds", repr(args.seconds),
             "--work-dir", os.path.join(OUT, "work", tag + "-traced"),
-            "--trace-out", trace_path], deadline)
-        # Prefer an untraced op timed in the traced process itself
-        # (interleaved, so host speed drift cancels; train has one) over
-        # the untraced run that preceded it.
+            "--trace-out", os.path.join(OUT, "trace-%s.json" % tag)],
+            deadline)
+        # Tracing overhead: against an untraced op timed in the traced
+        # process itself when it has one (interleaved, so host speed drift
+        # cancels; train does), else against a short untraced run.
+        untraced_p50 = record["meta"].get("untraced_op_p50_ms")
+        if untraced_p50 is None:
+            base = run_plain(min(args.seconds, BASELINE_S))
+            untraced_p50 = base["metrics"].get("op_p50_ms", {}).get("value")
+            record["correct"] = record["correct"] and base["correct"]
+            record["failures"] = base["failures"] + record["failures"]
+            record["meta"]["untraced"] = {"metrics": base["metrics"],
+                                          "meta": base["meta"]}
         traced_p50 = record["meta"].get("traced_op_p50_ms")
-        untraced_p50 = record["meta"].get(
-            "untraced_op_p50_ms",
-            base["metrics"].get("op_p50_ms", {}).get("value"))
         if traced_p50 is not None and untraced_p50 is not None:
             record["metrics"]["bench.trace_overhead_ms"] = {
                 "value": traced_p50 - untraced_p50, "unit": "ms"}
-            record["spans"]["bench.trace_overhead_ms"] = "phase." + args.workload
-        record["correct"] = record["correct"] and base["correct"]
-        record["failures"] = base["failures"] + record["failures"]
-        record["meta"]["untraced"] = {"metrics": base["metrics"],
-                                      "meta": base["meta"]}
+            record["spans"]["bench.trace_overhead_ms"] = (
+                "phase." + args.workload)
 
     metrics = {}
     for m in expected:
