@@ -166,6 +166,17 @@ LoadResult RunLoad(int port, const LoadSpec& spec, const PickFn& pick,
 
   const int64_t start = NowNs();
   const int64_t end = start + static_cast<int64_t>(spec.seconds * 1e9);
+  const int64_t window_ns = static_cast<int64_t>(spec.window_s * 1e9);
+  Histogram window_latency;
+  Window window;
+  auto close_window = [&] {
+    window.p50_ms = window_latency.Percentile(0.5);
+    window.tail_ms = window_latency.Percentile(spec.tail_q);
+    window.beyond_tail = window_latency.Beyond(spec.tail_q);
+    r.windows.push_back(window);
+    window = Window();
+    window_latency.Clear();
+  };
   if (!spec.open_loop) {
     for (size_t c = 0; c < conns.size(); ++c) send(c, -1);
   }
@@ -180,9 +191,16 @@ LoadResult RunLoad(int port, const LoadSpec& spec, const PickFn& pick,
     const InFlight f = conn.inflight.front();
     conn.inflight.pop_front();
     --inflight;
-    r.latency_ms.Add(static_cast<double>(now - f.due_ns) / 1e6);
+    while (start + static_cast<int64_t>(r.windows.size() + 1) * window_ns <=
+           now) {
+      close_window();
+    }
+    const double ms = static_cast<double>(now - f.due_ns) / 1e6;
+    r.latency_ms.Add(ms);
+    window_latency.Add(ms);
     if (StartsWithId(response, f.id) && IsOk(response)) {
       ++r.ok;
+      ++window.ok;
     } else {
       ++r.failed;
       if (r.error.empty()) r.error = std::string(response.substr(0, 200));
@@ -259,7 +277,11 @@ LoadResult RunLoad(int port, const LoadSpec& spec, const PickFn& pick,
       if (events[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR)) on_readable(c);
     }
   }
-  r.wall_s = static_cast<double>(NowNs() - start) / 1e9;
+  const int64_t finish = NowNs();
+  while (start + static_cast<int64_t>(r.windows.size() + 1) * window_ns <=
+         std::min(finish, end)) {
+    close_window();
+  }
   if (inflight > 0) {
     r.failed += inflight;
     if (r.error.empty()) r.error = "requests left unanswered";

@@ -57,6 +57,18 @@ struct LoadSpec {
   size_t max_samples = 8192;
   /// Ids start here, so a warm-up and the measured run never share ids.
   uint64_t first_id = 0;
+  /// Length of the windows LoadResult::windows splits the run into, and
+  /// the tail percentile each window reports.
+  double window_s = 1.0;
+  double tail_q = 0.99;
+};
+
+/// Responses that arrived in one window of the run, by arrival time.
+struct Window {
+  uint64_t ok = 0;
+  double p50_ms = 0.0;
+  double tail_ms = 0.0;  // At LoadSpec::tail_q.
+  uint64_t beyond_tail = 0;
 };
 
 struct Sampled {
@@ -76,7 +88,9 @@ struct LoadResult {
   uint64_t ok = 0;
   /// Responses with ok:false or a wrong id, plus requests never answered.
   uint64_t failed = 0;
-  double wall_s = 0.0;
+  /// Every whole window of the run in order; a trailing partial one (the
+  /// drain after the last send) is left out.
+  std::vector<Window> windows;
   std::vector<Sampled> samples;
   /// First failure, for the log.
   std::string error;

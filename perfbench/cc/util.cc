@@ -94,6 +94,11 @@ uint64_t Histogram::Beyond(double q) const {
   return beyond;
 }
 
+void Histogram::Clear() {
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = 0;
+}
+
 double PeakRssMb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
@@ -122,6 +127,15 @@ std::string JsonStr(const std::string& value) {
     }
   }
   return out + "\"";
+}
+
+std::string JsonList(const std::vector<double>& values) {
+  std::string out = "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ",";
+    out += JsonNum(values[i]);
+  }
+  return out + "]";
 }
 
 void Report::Metric(const std::string& name, double value,

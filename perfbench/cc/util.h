@@ -36,6 +36,8 @@ class Histogram {
   double Percentile(double q) const;
   /// Samples strictly above Percentile(q)'s bucket.
   uint64_t Beyond(double q) const;
+  /// Empties every bucket (keeps the memory).
+  void Clear();
 
  private:
   size_t RankBucket(double q) const;
@@ -53,6 +55,8 @@ int Nproc();
 /// printing a bogus number.
 std::string JsonNum(double value);
 std::string JsonStr(const std::string& value);
+/// JSON array of JsonNum values.
+std::string JsonList(const std::vector<double>& values);
 
 /// One run's outcome. `metrics` and `meta` are kept in insertion order.
 class Report {
