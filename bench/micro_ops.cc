@@ -171,53 +171,12 @@ void BM_GroupSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupSampling);
 
-void BM_RllTrainingStep(benchmark::State& state) {
-  // One batch (64 groups, k = 3) through the paper-scale encoder:
-  // forward, loss, backward, Adam.
-  Rng rng(6);
-  data::Dataset d = GenerateSynthetic(data::OralSimConfig(), &rng);
-  core::RllModel model(
-      {.input_dim = d.dim(), .hidden_dims = {64, 32}}, &rng);
-  nn::Adam adam(model.Parameters(), {});
-  std::vector<int> labels = d.true_labels();
-  core::GroupSampler sampler(labels, {.negatives_per_group = 3});
-  auto groups = sampler.Sample(64, &rng);
-  std::vector<size_t> anchors, slot0, slot1, slot2, slot3;
-  for (const core::Group& g : *groups) {
-    anchors.push_back(g.anchor);
-    slot0.push_back(g.positive);
-    slot1.push_back(g.negatives[0]);
-    slot2.push_back(g.negatives[1]);
-    slot3.push_back(g.negatives[2]);
-  }
-  const std::vector<std::vector<size_t>*> slots = {&slot0, &slot1, &slot2,
-                                                   &slot3};
-  std::vector<Matrix> conf(4, Matrix(64, 1, 0.9));
-  AllocCounter allocs(state);
-  for (auto _ : state) {
-    adam.ZeroGrad();
-    ag::Var anchor_emb =
-        model.Forward(ag::Constant(d.features().GatherRows(anchors)));
-    std::vector<ag::Var> cands;
-    for (const auto* slot : slots) {
-      cands.push_back(
-          model.Forward(ag::Constant(d.features().GatherRows(*slot))));
-    }
-    ag::Var loss = core::GroupNllLoss(anchor_emb, cands, conf, 10.0);
-    ag::Backward(loss);
-    adam.Step();
-  }
-  allocs.Done();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_RllTrainingStep);
-
 void BM_RllTrainingStepArena(benchmark::State& state) {
-  // BM_RllTrainingStep on the arena memory plane — the shape RllTrainer
-  // actually runs: graph nodes, gradients, and index blocks land in an
+  // One batch (64 groups, k = 3) through the paper-scale encoder —
+  // forward, loss, backward, Adam — on the arena memory plane, the shape
+  // RllTrainer runs: graph nodes, gradients, and index blocks land in an
   // arena that Reset() recycles between steps. Expected allocs_per_op: 0
-  // once the first step has sized the chunks (the delta against
-  // BM_RllTrainingStep is the whole point of the arena).
+  // once the first step has sized the chunks.
   Rng rng(6);
   data::Dataset d = GenerateSynthetic(data::OralSimConfig(), &rng);
   core::RllModel model(

@@ -6,13 +6,14 @@
 // Demonstrates the diagnostic side of the library:
 //   1. Dawid–Skene worker-reliability report (who to re-hire);
 //   2. GLAD item-difficulty histogram (which videos need expert review);
-//   3. the RLL-Bayesian pipeline, plus a model checkpoint for serving.
+//   3. the RLL-Bayesian pipeline, plus a model bundle for serving.
 //
 // Run: ./build/examples/class_quality
 
 #include <algorithm>
 #include <cstdio>
 
+#include "core/model_bundle.h"
 #include "core/pipeline.h"
 #include "crowd/dawid_skene.h"
 #include "crowd/glad.h"
@@ -73,7 +74,7 @@ int main() {
               difficulty[difficulty.size() / 2],
               difficulty[difficulty.size() * 9 / 10]);
 
-  // ---- 3. RLL-Bayesian pipeline + checkpoint.
+  // ---- 3. RLL-Bayesian pipeline + model bundle.
   core::RllPipelineOptions options;
   options.trainer.model.hidden_dims = {64, 32};
   options.trainer.epochs = 12;
@@ -88,7 +89,8 @@ int main() {
               outcome->mean.accuracy, outcome->stddev.accuracy,
               outcome->mean.f1, outcome->stddev.f1);
 
-  // Train a final model on everything and save the encoder for serving.
+  // Train a final model on everything and save it, with its standardizer,
+  // as a bundle the server loads.
   data::Standardizer standardizer;
   const Matrix features = standardizer.FitTransform(dataset.features());
   const std::vector<int> labels = dataset.MajorityVoteLabels();
@@ -101,9 +103,15 @@ int main() {
     std::fprintf(stderr, "%s\n", train_status.status().ToString().c_str());
     return 1;
   }
-  const char* path = "class_quality_encoder.ckpt";
-  if (trainer.model().Save(path).ok()) {
-    std::printf("final encoder checkpoint written to %s\n", path);
+  const char* path = "class_quality.ckpt";
+  auto bundle = core::ModelBundle::Create(standardizer, trainer.model(), &rng);
+  const Status saved = bundle.ok() ? bundle->Save(path) : bundle.status();
+  if (!saved.ok()) {
+    std::fprintf(stderr, "%s\n", saved.ToString().c_str());
+    return 1;
   }
+  std::printf("model bundle written to %s; serve it with\n"
+              "  ./build/tools/rll_cli serve --model %s\n",
+              path, path);
   return 0;
 }

@@ -205,13 +205,6 @@ Var Log(const Var& a, double eps) {
   });
 }
 
-Var Exp(const Var& a) {
-  Matrix value = Map(a->value, [](double x) { return std::exp(x); });
-  return MakeOp(std::move(value), {a}, [](Node* n) {
-    n->parents[0]->AccumulateGrad(Hadamard(n->grad, n->value));
-  });
-}
-
 Var Square(const Var& a) {
   Matrix value = Map(a->value, [](double x) { return x * x; });
   return MakeOp(std::move(value), {a}, [](Node* n) {
@@ -229,31 +222,6 @@ Var Sqrt(const Var& a, double eps) {
     Matrix g(n->grad.rows(), n->grad.cols());
     for (size_t i = 0; i < g.size(); ++i) {
       g[i] = n->grad[i] * 0.5 / std::max(n->value[i], std::sqrt(eps));
-    }
-    n->parents[0]->AccumulateGrad(std::move(g));
-  });
-}
-
-Var Abs(const Var& a) {
-  Matrix value = Map(a->value, [](double x) { return std::fabs(x); });
-  return MakeOp(std::move(value), {a}, [](Node* n) {
-    const Matrix& x = n->parents[0]->value;
-    Matrix g(n->grad.rows(), n->grad.cols());
-    for (size_t i = 0; i < g.size(); ++i) {
-      g[i] = x[i] > 0.0 ? n->grad[i] : (x[i] < 0.0 ? -n->grad[i] : 0.0);
-    }
-    n->parents[0]->AccumulateGrad(std::move(g));
-  });
-}
-
-Var ClampMin(const Var& a, double floor) {
-  Matrix value =
-      Map(a->value, [floor](double x) { return std::max(x, floor); });
-  return MakeOp(std::move(value), {a}, [floor](Node* n) {
-    const Matrix& x = n->parents[0]->value;
-    Matrix g(n->grad.rows(), n->grad.cols());
-    for (size_t i = 0; i < g.size(); ++i) {
-      g[i] = x[i] > floor ? n->grad[i] : 0.0;
     }
     n->parents[0]->AccumulateGrad(std::move(g));
   });
@@ -328,21 +296,17 @@ Var RowCosine(const Var& a, const Var& b, double eps) {
       });
 }
 
-namespace {
-
-// Pointer-based core shared by the std::vector and VarList overloads.
-Var ConcatColsImpl(const Var* parts, size_t count) {
-  RLL_CHECK(count > 0);
+Var ConcatCols(const VarList& parts) {
+  RLL_CHECK(!parts.empty());
   const size_t rows = parts[0]->value.rows();
   size_t total_cols = 0;
-  for (size_t i = 0; i < count; ++i) {
-    RLL_CHECK_EQ(parts[i]->value.rows(), rows);
-    total_cols += parts[i]->value.cols();
+  for (const Var& p : parts) {
+    RLL_CHECK_EQ(p->value.rows(), rows);
+    total_cols += p->value.cols();
   }
   Matrix value(rows, total_cols);
   size_t offset = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const Var& p = parts[i];
+  for (const Var& p : parts) {
     for (size_t r = 0; r < rows; ++r) {
       const double* src = p->value.row_data(r);
       double* dst = value.row_data(r) + offset;
@@ -350,7 +314,8 @@ Var ConcatColsImpl(const Var* parts, size_t count) {
     }
     offset += p->value.cols();
   }
-  return MakeOp(std::move(value), VarList(parts, parts + count), [](Node* n) {
+  VarList parents(parts.begin(), parts.end());
+  return MakeOp(std::move(value), std::move(parents), [](Node* n) {
     size_t offset = 0;
     for (const Var& p : n->parents) {
       const size_t pc = p->value.cols();
@@ -366,58 +331,6 @@ Var ConcatColsImpl(const Var* parts, size_t count) {
       offset += pc;
     }
   });
-}
-
-Var ConcatRowsImpl(const Var* parts, size_t count) {
-  RLL_CHECK(count > 0);
-  const size_t cols = parts[0]->value.cols();
-  size_t total_rows = 0;
-  for (size_t i = 0; i < count; ++i) {
-    RLL_CHECK_EQ(parts[i]->value.cols(), cols);
-    total_rows += parts[i]->value.rows();
-  }
-  Matrix value(total_rows, cols);
-  size_t offset = 0;
-  for (size_t i = 0; i < count; ++i) {
-    const Var& p = parts[i];
-    for (size_t r = 0; r < p->value.rows(); ++r) {
-      const double* src = p->value.row_data(r);
-      double* dst = value.row_data(offset + r);
-      for (size_t c = 0; c < cols; ++c) dst[c] = src[c];
-    }
-    offset += p->value.rows();
-  }
-  return MakeOp(std::move(value), VarList(parts, parts + count), [](Node* n) {
-    size_t offset = 0;
-    for (const Var& p : n->parents) {
-      const size_t pr = p->value.rows();
-      if (p->requires_grad) {
-        Matrix g(pr, p->value.cols());
-        for (size_t r = 0; r < pr; ++r) {
-          const double* src = n->grad.row_data(offset + r);
-          double* dst = g.row_data(r);
-          for (size_t c = 0; c < g.cols(); ++c) dst[c] = src[c];
-        }
-        p->AccumulateGrad(std::move(g));
-      }
-      offset += pr;
-    }
-  });
-}
-
-}  // namespace
-
-Var ConcatCols(const std::vector<Var>& parts) {
-  return ConcatColsImpl(parts.data(), parts.size());
-}
-Var ConcatCols(const VarList& parts) {
-  return ConcatColsImpl(parts.data(), parts.size());
-}
-Var ConcatRows(const std::vector<Var>& parts) {
-  return ConcatRowsImpl(parts.data(), parts.size());
-}
-Var ConcatRows(const VarList& parts) {
-  return ConcatRowsImpl(parts.data(), parts.size());
 }
 
 Var LogSoftmaxRows(const Var& a) {
@@ -446,61 +359,29 @@ Var LogSoftmaxRows(const Var& a) {
   });
 }
 
-Var NllRows(const Var& logp, const std::vector<size_t>& targets) {
-  return WeightedNllRows(logp, targets.data(), /*weights=*/nullptr,
-                         targets.size());
-}
-
 Var NllRows(const Var& logp, const size_t* targets, size_t count) {
-  return WeightedNllRows(logp, targets, /*weights=*/nullptr, count);
-}
-
-Var WeightedNllRows(const Var& logp, const std::vector<size_t>& targets,
-                    const std::vector<double>& weights) {
-  RLL_CHECK_EQ(targets.size(), weights.size());
-  return WeightedNllRows(logp, targets.data(), weights.data(),
-                         targets.size());
-}
-
-Var WeightedNllRows(const Var& logp, const size_t* targets,
-                    const double* weights, size_t count) {
   RLL_CHECK_EQ(logp->value.rows(), count);
   RLL_CHECK(count > 0);
-  double wsum = 0.0;
-  if (weights != nullptr) {
-    for (size_t i = 0; i < count; ++i) {
-      RLL_CHECK_GE(weights[i], 0.0);
-      wsum += weights[i];
-    }
-  } else {
-    wsum = static_cast<double>(count);
-  }
-  RLL_CHECK_GT(wsum, 0.0);
+  const double n_rows = static_cast<double>(count);
   double loss = 0.0;
   for (size_t i = 0; i < count; ++i) {
     RLL_CHECK_LT(targets[i], logp->value.cols());
-    const double w = weights != nullptr ? weights[i] : 1.0;
-    loss -= w * logp->value(i, targets[i]);
+    loss -= logp->value(i, targets[i]);
   }
-  Matrix value(1, 1, loss / wsum);
-  // The closure copies targets/weights into scratch vectors: inside an
-  // ArenaScope both the copies and the closure itself are arena-backed.
+  Matrix value(1, 1, loss / n_rows);
+  // The closure copies the targets into a scratch vector: inside an
+  // ArenaScope both the copy and the closure itself are arena-backed.
   ScratchVector<size_t> targets_copy(targets, targets + count);
-  ScratchVector<double> weights_copy;
-  if (weights != nullptr) weights_copy.assign(weights, weights + count);
-  return MakeOp(
-      std::move(value), {logp},
-      [targets = std::move(targets_copy), weights = std::move(weights_copy),
-       wsum](Node* n) {
-        const double g = n->grad(0, 0);
-        const Matrix& lp = n->parents[0]->value;
-        Matrix grad(lp.rows(), lp.cols());
-        for (size_t i = 0; i < targets.size(); ++i) {
-          const double w = weights.empty() ? 1.0 : weights[i];
-          grad(i, targets[i]) = -g * w / wsum;
-        }
-        n->parents[0]->AccumulateGrad(std::move(grad));
-      });
+  return MakeOp(std::move(value), {logp},
+                [targets = std::move(targets_copy), n_rows](Node* n) {
+                  const double g = n->grad(0, 0);
+                  const Matrix& lp = n->parents[0]->value;
+                  Matrix grad(lp.rows(), lp.cols());
+                  for (size_t i = 0; i < targets.size(); ++i) {
+                    grad(i, targets[i]) = -g / n_rows;
+                  }
+                  n->parents[0]->AccumulateGrad(std::move(grad));
+                });
 }
 
 }  // namespace rll::ag

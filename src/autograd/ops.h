@@ -5,8 +5,6 @@
 #ifndef RLL_AUTOGRAD_OPS_H_
 #define RLL_AUTOGRAD_OPS_H_
 
-#include <vector>
-
 #include "autograd/variable.h"
 
 namespace rll::ag {
@@ -42,14 +40,9 @@ Var Relu(const Var& a);
 Var Sigmoid(const Var& a);
 /// log(max(a, eps)) — inputs are clamped for stability.
 Var Log(const Var& a, double eps = 1e-12);
-Var Exp(const Var& a);
 Var Square(const Var& a);
 /// sqrt(max(a, eps)).
 Var Sqrt(const Var& a, double eps = 1e-12);
-/// |a| (subgradient 0 at the kink).
-Var Abs(const Var& a);
-/// max(a, floor) elementwise; gradient passes only where a > floor.
-Var ClampMin(const Var& a, double floor);
 
 /// Full reductions → 1×1.
 Var Sum(const Var& a);
@@ -61,33 +54,18 @@ Var RowSum(const Var& a);
 /// Row-wise cosine similarity → rows×1; norms clamped at eps.
 Var RowCosine(const Var& a, const Var& b, double eps = 1e-12);
 
-/// Horizontal concatenation (equal row counts) → rows×Σcols. The VarList
-/// overload is the hot-path form (scratch-backed operand lists); the
-/// std::vector form is a thin wrapper for existing call sites.
-Var ConcatCols(const std::vector<Var>& parts);
+/// Horizontal concatenation (equal row counts) → rows×Σcols. The operand
+/// list is scratch-backed, so inside an ArenaScope it is allocation-free.
 Var ConcatCols(const VarList& parts);
-
-/// Vertical concatenation (equal col counts) → Σrows×cols.
-Var ConcatRows(const std::vector<Var>& parts);
-Var ConcatRows(const VarList& parts);
 
 /// Numerically stable row-wise log-softmax.
 Var LogSoftmaxRows(const Var& a);
 
-/// Mean negative log likelihood: -(1/n)·Σᵢ logp(i, targets[i]) → 1×1.
-/// `logp` is n×c log-probabilities (e.g. from LogSoftmaxRows).
-Var NllRows(const Var& logp, const std::vector<size_t>& targets);
-/// Pointer form for hot paths: unit weights, `count` targets, no
-/// per-call std::vector construction (the backward closure copies the
-/// targets into scratch storage).
+/// Mean negative log likelihood over `count` rows:
+/// -(1/count)·Σᵢ logp(i, targets[i]) → 1×1. `logp` is count×c
+/// log-probabilities (e.g. from LogSoftmaxRows). The backward closure
+/// copies the targets into scratch storage.
 Var NllRows(const Var& logp, const size_t* targets, size_t count);
-
-/// Per-example weighted mean NLL: -(Σᵢ wᵢ·logp(i,tᵢ))/Σᵢwᵢ → 1×1.
-Var WeightedNllRows(const Var& logp, const std::vector<size_t>& targets,
-                    const std::vector<double>& weights);
-/// Pointer form; `weights == nullptr` means unit weights.
-Var WeightedNllRows(const Var& logp, const size_t* targets,
-                    const double* weights, size_t count);
 
 }  // namespace rll::ag
 

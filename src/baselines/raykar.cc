@@ -89,11 +89,4 @@ Result<RaykarModel> FitRaykar(const data::Dataset& train,
   return model;
 }
 
-Result<std::vector<int>> RaykarMethod::TrainAndPredict(
-    const data::Dataset& train, const Matrix& test_features,
-    Rng* /*rng*/) const {
-  RLL_ASSIGN_OR_RETURN(RaykarModel model, FitRaykar(train, options_));
-  return model.classifier.Predict(test_features);
-}
-
 }  // namespace rll::baselines

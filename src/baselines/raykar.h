@@ -14,8 +14,9 @@
 
 #include <vector>
 
-#include "baselines/method.h"
 #include "classify/logistic_regression.h"
+#include "common/status.h"
+#include "data/dataset.h"
 
 namespace rll::baselines {
 
@@ -41,24 +42,6 @@ struct RaykarModel {
 /// lacks annotations or the classifier fit fails.
 Result<RaykarModel> FitRaykar(const data::Dataset& train,
                               const RaykarOptions& options = {});
-
-/// Table-I-style wrapper: fit on the train split, predict with the jointly
-/// learned classifier. An extension row beyond the paper's 15 methods.
-class RaykarMethod : public Method {
- public:
-  explicit RaykarMethod(RaykarOptions options = {})
-      : options_(std::move(options)) {}
-
-  std::string name() const override { return "Raykar"; }
-  std::string group() const override { return "group 1"; }
-
-  Result<std::vector<int>> TrainAndPredict(const data::Dataset& train,
-                                           const Matrix& test_features,
-                                           Rng* rng) const override;
-
- private:
-  RaykarOptions options_;
-};
 
 }  // namespace rll::baselines
 

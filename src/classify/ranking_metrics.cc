@@ -1,7 +1,6 @@
 #include "classify/ranking_metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/check.h"
@@ -38,31 +37,6 @@ double RocAuc(const std::vector<int>& truth,
   const double np = static_cast<double>(num_pos);
   const double nn = static_cast<double>(num_neg);
   return (pos_rank_sum - np * (np + 1.0) / 2.0) / (np * nn);
-}
-
-double LogLoss(const std::vector<int>& truth,
-               const std::vector<double>& probabilities, double eps) {
-  RLL_CHECK_EQ(truth.size(), probabilities.size());
-  RLL_CHECK(!truth.empty());
-  double total = 0.0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    const double p =
-        std::min(std::max(probabilities[i], eps), 1.0 - eps);
-    total -= truth[i] == 1 ? std::log(p) : std::log(1.0 - p);
-  }
-  return total / static_cast<double>(truth.size());
-}
-
-double BrierScore(const std::vector<int>& truth,
-                  const std::vector<double>& probabilities) {
-  RLL_CHECK_EQ(truth.size(), probabilities.size());
-  RLL_CHECK(!truth.empty());
-  double total = 0.0;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    const double d = probabilities[i] - static_cast<double>(truth[i]);
-    total += d * d;
-  }
-  return total / static_cast<double>(truth.size());
 }
 
 }  // namespace rll::classify

@@ -1,6 +1,5 @@
-// Threshold-free metrics over predicted probabilities: ROC AUC and binary
-// log-loss. Complements the thresholded metrics in classify/metrics.h when
-// comparing calibration rather than hard decisions.
+// Threshold-free ranking metric over predicted scores: ROC AUC.
+// Complements the thresholded metrics in classify/metrics.h.
 
 #ifndef RLL_CLASSIFY_RANKING_METRICS_H_
 #define RLL_CLASSIFY_RANKING_METRICS_H_
@@ -13,15 +12,6 @@ namespace rll::classify {
 /// ties counted as half. Returns 0.5 when either class is absent.
 double RocAuc(const std::vector<int>& truth,
               const std::vector<double>& scores);
-
-/// Mean binary cross-entropy −[y·log p + (1−y)·log(1−p)]; probabilities are
-/// clamped to [eps, 1−eps].
-double LogLoss(const std::vector<int>& truth,
-               const std::vector<double>& probabilities, double eps = 1e-12);
-
-/// Brier score: mean squared error between probability and outcome.
-double BrierScore(const std::vector<int>& truth,
-                  const std::vector<double>& probabilities);
 
 }  // namespace rll::classify
 

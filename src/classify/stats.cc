@@ -95,14 +95,4 @@ Result<PairedTestResult> PairedPermutationTest(const std::vector<double>& a,
   return result;
 }
 
-std::vector<double> CorrectnessVector(const std::vector<int>& truth,
-                                      const std::vector<int>& predicted) {
-  RLL_CHECK_EQ(truth.size(), predicted.size());
-  std::vector<double> out(truth.size());
-  for (size_t i = 0; i < truth.size(); ++i) {
-    out[i] = truth[i] == predicted[i] ? 1.0 : 0.0;
-  }
-  return out;
-}
-
 }  // namespace rll::classify

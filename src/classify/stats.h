@@ -38,11 +38,6 @@ Result<PairedTestResult> PairedPermutationTest(
     const std::vector<double>& a, const std::vector<double>& b, Rng* rng,
     int resamples = 10000);
 
-/// Per-example 0/1 correctness vector — the natural paired unit for
-/// McNemar-style comparisons of two prediction vectors.
-std::vector<double> CorrectnessVector(const std::vector<int>& truth,
-                                      const std::vector<int>& predicted);
-
 }  // namespace rll::classify
 
 #endif  // RLL_CLASSIFY_STATS_H_

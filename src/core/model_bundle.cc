@@ -1,5 +1,6 @@
 #include "core/model_bundle.h"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -107,72 +108,35 @@ Result<RllModelConfig> ParseHeader(const std::string& line) {
   return config;
 }
 
-/// Shared tail of both load paths: wraps (standardizer stats, config,
-/// parameter values) into a bundle, shape-checking each parameter against
-/// the freshly constructed architecture.
-Result<ModelBundle> AssembleBundle(Matrix mean, Matrix stddev,
-                                   const RllModelConfig& config,
-                                   std::vector<Matrix> params) {
-  if (config.input_dim != mean.cols()) {
-    return Status::InvalidArgument(
-        "standardizer and encoder dimensionality disagree");
+/// The encoder is sized from the header, so a corrupt header could ask for
+/// an allocation the process cannot survive. This rejects any header whose
+/// standardizer moments and weight matrices alone need more numbers than
+/// the rest of the file could hold (each takes at least two bytes: a digit
+/// and a separator).
+Status CheckHeaderFitsFile(const RllModelConfig& config,
+                           uint64_t bytes_left) {
+  const uint64_t budget = bytes_left / 2;
+  uint64_t needed = 2 * static_cast<uint64_t>(config.input_dim);
+  uint64_t fan_in = config.input_dim;
+  for (size_t width : config.hidden_dims) {
+    // Widths are >= 1 (ParseHeader), so fan_in never divides by zero and
+    // the product below cannot overflow once it fits the budget.
+    if (needed > budget || width > (budget - needed) / fan_in) {
+      return Status::InvalidArgument(
+          "bundle header declares more parameters than the file holds");
+    }
+    needed += fan_in * width;
+    fan_in = width;
   }
-  return ModelBundle::FromParts(std::move(mean), std::move(stddev), config,
-                                std::move(params));
+  return Status::OK();
 }
 
-/// Legacy headerless format: architecture inferred from weight/bias pair
-/// shapes, activations at their RllModelConfig defaults (tanh).
-Result<ModelBundle> LoadLegacy(std::istream* in) {
-  RLL_ASSIGN_OR_RETURN(Matrix mean, ReadMatrix(in));
-  RLL_ASSIGN_OR_RETURN(Matrix stddev, ReadMatrix(in));
-  if (mean.rows() != 1 || !mean.SameShape(stddev)) {
-    return Status::InvalidArgument("malformed standardizer block");
-  }
-
-  std::vector<Matrix> params;
-  for (;;) {
-    Result<Matrix> m = ReadMatrix(in);
-    if (!m.ok()) break;
-    params.push_back(std::move(*m));
-  }
-  if (params.empty() || params.size() % 2 != 0) {
-    return Status::InvalidArgument(
-        "bundle must contain weight/bias parameter pairs");
-  }
-
-  RllModelConfig config;
-  config.input_dim = params[0].rows();
-  config.hidden_dims.clear();
-  for (size_t i = 0; i < params.size(); i += 2) {
-    if (params[i + 1].rows() != 1 ||
-        params[i + 1].cols() != params[i].cols()) {
-      return Status::InvalidArgument("bias shape mismatch in bundle");
-    }
-    if (i > 0 && params[i].rows() != params[i - 2].cols()) {
-      return Status::InvalidArgument("layer shapes do not chain in bundle");
-    }
-    config.hidden_dims.push_back(params[i].cols());
-  }
-  return AssembleBundle(std::move(mean), std::move(stddev), config,
-                        std::move(params));
-}
-
-Result<ModelBundle> LoadV2(std::istream* in, const std::string& header) {
-  RLL_ASSIGN_OR_RETURN(RllModelConfig config, ParseHeader(header));
-  RLL_ASSIGN_OR_RETURN(Matrix mean, ReadMatrix(in));
-  RLL_ASSIGN_OR_RETURN(Matrix stddev, ReadMatrix(in));
-  if (mean.rows() != 1 || !mean.SameShape(stddev)) {
-    return Status::InvalidArgument("malformed standardizer block");
-  }
-  std::vector<Matrix> params;
-  for (;;) {
-    Result<Matrix> m = ReadMatrix(in);
-    if (!m.ok()) break;
-    params.push_back(std::move(*m));
-  }
-  return AssembleBundle(std::move(mean), std::move(stddev), config,
-                        std::move(params));
+/// ReadMatrix with the bundle section named in any error.
+Status ReadSection(std::istream* in, const std::string& section,
+                   Matrix* out) {
+  Status status = ReadMatrix(in, out);
+  if (status.ok()) return status;
+  return Status(status.code(), "bundle " + section + ": " + status.message());
 }
 
 }  // namespace
@@ -197,33 +161,6 @@ Result<ModelBundle> ModelBundle::Create(
   return bundle;
 }
 
-Result<ModelBundle> ModelBundle::FromParts(Matrix mean, Matrix stddev,
-                                           const RllModelConfig& config,
-                                           std::vector<Matrix> params) {
-  ModelBundle bundle;
-  bundle.standardizer_ =
-      data::Standardizer::FromMoments(std::move(mean), std::move(stddev));
-  Rng init_rng(1);  // Values are overwritten below.
-  bundle.model_ = std::make_shared<RllModel>(config, &init_rng);
-  const auto dst = bundle.model_->Parameters();
-  if (dst.size() != params.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "bundle carries %zu parameter matrices but the declared "
-        "architecture needs %zu",
-        params.size(), dst.size()));
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    if (!dst[i]->value.SameShape(params[i])) {
-      return Status::InvalidArgument(StrFormat(
-          "bundle parameter %zu is %zux%zu, architecture expects %zux%zu",
-          i, params[i].rows(), params[i].cols(), dst[i]->value.rows(),
-          dst[i]->value.cols()));
-    }
-    dst[i]->value = std::move(params[i]);
-  }
-  return bundle;
-}
-
 Status ModelBundle::Save(const std::string& path) const {
   std::ofstream out(path);
   if (!out.is_open()) return Status::IOError("cannot open: " + path);
@@ -240,19 +177,43 @@ Status ModelBundle::Save(const std::string& path) const {
 Result<ModelBundle> ModelBundle::Load(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) return Status::IOError("cannot open: " + path);
-  // Peek at the first line: a v2 header starts with the magic; a legacy
-  // file starts directly with a "matrix r c" serialization header.
-  std::string first_line;
-  if (!std::getline(in, first_line)) {
+  std::string header;
+  if (!std::getline(in, header)) {
     return Status::InvalidArgument("empty bundle file: " + path);
   }
-  if (first_line.rfind(kMagic, 0) == 0) {
-    return LoadV2(&in, first_line);
+  RLL_ASSIGN_OR_RETURN(RllModelConfig config, ParseHeader(header));
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff bytes_left = in.tellg() - body;
+  in.seekg(body);
+  if (!in || bytes_left < 0) {
+    return Status::IOError("cannot measure bundle file: " + path);
   }
-  // Legacy: reopen so the matrix reader sees the file from the start.
-  std::ifstream legacy(path);
-  if (!legacy.is_open()) return Status::IOError("cannot open: " + path);
-  return LoadLegacy(&legacy);
+  RLL_RETURN_IF_ERROR(
+      CheckHeaderFitsFile(config, static_cast<uint64_t>(bytes_left)));
+
+  // Every matrix is read into storage shaped by the header; ReadMatrix
+  // rejects a differing matrix header before reading its elements.
+  Matrix mean(1, config.input_dim);
+  Matrix stddev(1, config.input_dim);
+  RLL_RETURN_IF_ERROR(ReadSection(&in, "mean", &mean));
+  RLL_RETURN_IF_ERROR(ReadSection(&in, "stddev", &stddev));
+  ModelBundle bundle;
+  Rng init_rng(1);  // Every parameter value is overwritten below.
+  bundle.model_ = std::make_shared<RllModel>(config, &init_rng);
+  const std::vector<ag::Var> params = bundle.model_->Parameters();
+  for (size_t i = 0; i < params.size(); ++i) {
+    RLL_RETURN_IF_ERROR(ReadSection(
+        &in, StrFormat("parameter %zu", i), &params[i]->value));
+  }
+  in >> std::ws;
+  if (!in.eof()) {
+    return Status::InvalidArgument(
+        "bundle has data after its last parameter: " + path);
+  }
+  bundle.standardizer_ =
+      data::Standardizer::FromMoments(std::move(mean), std::move(stddev));
+  return bundle;
 }
 
 Result<Matrix> ModelBundle::Embed(const Matrix& raw_features) const {

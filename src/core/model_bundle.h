@@ -2,25 +2,21 @@
 // encoder in one file, so serving code cannot accidentally pair a model
 // with the wrong preprocessing.
 //
-// Format v2 (current): one header line recording the architecture, then
-// matrices in tensor/serialize text format —
+// Format v2: one header line recording the architecture, then matrices in
+// tensor/serialize text format —
 //   rll-bundle v2 dims=16,64,32 hidden=tanh output=tanh layer_norm=0 embed_dim=32
 //   mean (1×dim), stddev (1×dim), encoder parameters in Parameters() order
 // The header makes the format self-describing: a bundle trained with a
 // non-default activation (or with LayerNorm) round-trips exactly instead
-// of silently loading as tanh.
-//
-// Legacy format (pre-header files, still loadable): mean, stddev, then
-// weight/bias pairs only; the architecture is inferred from the parameter
-// shapes and hidden activations default to tanh (the RllModelConfig
-// default those files were trained with).
+// of silently loading as tanh. It also fixes the shape of every matrix
+// that follows, so the loader checks each matrix header against it before
+// reading, and a file holding anything more is rejected.
 
 #ifndef RLL_CORE_MODEL_BUNDLE_H_
 #define RLL_CORE_MODEL_BUNDLE_H_
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/rll_model.h"
 #include "data/standardize.h"
@@ -33,20 +29,13 @@ class ModelBundle {
   static Result<ModelBundle> Create(const data::Standardizer& standardizer,
                                     const RllModel& model, Rng* rng);
 
-  /// Assembles a bundle from deserialized pieces: standardizer moments
-  /// (1×dim each), the declared architecture, and parameter values in
-  /// Parameters() order. Shape-checks every matrix against the
-  /// architecture. Loaders use this; most callers want Create or Load.
-  static Result<ModelBundle> FromParts(Matrix mean, Matrix stddev,
-                                       const RllModelConfig& config,
-                                       std::vector<Matrix> params);
-
   /// Writes the bundle in the v2 headered format.
   Status Save(const std::string& path) const;
 
-  /// Reads a bundle in either format: v2 files reconstruct the encoder
-  /// exactly from the header; legacy headerless files fall back to shape
-  /// inference with tanh activations.
+  /// Reads a v2 bundle, reconstructing the encoder exactly from the header.
+  /// Returns an error, rather than aborting, on a malformed header, a
+  /// header declaring more parameters than the file holds, a matrix whose
+  /// shape differs from the header's, or data after the last parameter.
   static Result<ModelBundle> Load(const std::string& path);
 
   /// Standardizes raw features with the stored statistics and embeds them.

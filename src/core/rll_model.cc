@@ -17,15 +17,14 @@ RllModel::RllModel(const RllModelConfig& config, Rng* rng) : config_(config) {
   encoder_ = std::make_unique<nn::Mlp>(mlp_config, rng);
 }
 
-namespace {
-
-// Pointer-based core shared by both GroupNllLoss overloads. Everything it
-// builds — score list, targets, graph nodes — is scratch-backed, so inside
-// an ArenaScope the whole loss construction is allocation-free.
-ag::Var GroupNllLossImpl(const ag::Var& anchor_emb,
-                         const ag::Var* candidate_embs,
-                         const Matrix* slot_confidence, size_t slots,
-                         double eta) {
+// Everything built here — score list, targets, graph nodes — is
+// scratch-backed, so inside an ArenaScope the whole loss construction is
+// allocation-free.
+ag::Var GroupNllLoss(const ag::Var& anchor_emb,
+                     const ag::VarList& candidate_embs,
+                     const MatrixList& slot_confidence, double eta) {
+  RLL_CHECK_EQ(candidate_embs.size(), slot_confidence.size());
+  const size_t slots = candidate_embs.size();
   RLL_CHECK(slots > 0);
   RLL_CHECK_GT(eta, 0.0);
   const size_t batch = anchor_emb->value.rows();
@@ -45,24 +44,6 @@ ag::Var GroupNllLossImpl(const ag::Var& anchor_emb,
   ag::Var logp = ag::LogSoftmaxRows(logits);        // slot 0 is the target
   ScratchVector<size_t> targets(batch, 0);
   return ag::NllRows(logp, targets.data(), batch);
-}
-
-}  // namespace
-
-ag::Var GroupNllLoss(const ag::Var& anchor_emb,
-                     const std::vector<ag::Var>& candidate_embs,
-                     const std::vector<Matrix>& slot_confidence, double eta) {
-  RLL_CHECK_EQ(candidate_embs.size(), slot_confidence.size());
-  return GroupNllLossImpl(anchor_emb, candidate_embs.data(),
-                          slot_confidence.data(), candidate_embs.size(), eta);
-}
-
-ag::Var GroupNllLoss(const ag::Var& anchor_emb,
-                     const ag::VarList& candidate_embs,
-                     const MatrixList& slot_confidence, double eta) {
-  RLL_CHECK_EQ(candidate_embs.size(), slot_confidence.size());
-  return GroupNllLossImpl(anchor_emb, candidate_embs.data(),
-                          slot_confidence.data(), candidate_embs.size(), eta);
 }
 
 }  // namespace rll::core

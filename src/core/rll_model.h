@@ -6,7 +6,6 @@
 #define RLL_CORE_RLL_MODEL_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "nn/mlp.h"
@@ -54,9 +53,6 @@ class RllModel {
   size_t embedding_dim() const { return config_.hidden_dims.back(); }
   const RllModelConfig& config() const { return config_; }
 
-  Status Save(const std::string& path) const { return encoder_->Save(path); }
-  Status Load(const std::string& path) { return encoder_->Load(path); }
-
  private:
   RllModelConfig config_;
   std::unique_ptr<nn::Mlp> encoder_;
@@ -68,12 +64,9 @@ class RllModel {
 /// batched over `batch` groups. Inputs are the embedded anchor rows and one
 /// embedded matrix per candidate slot (slot 0 = paired positive, slots
 /// 1..k = negatives); `slot_confidence[s]` holds δ for slot s per group
-/// (batch×1). Returns the mean loss over the batch as a 1×1 Var.
-ag::Var GroupNllLoss(const ag::Var& anchor_emb,
-                     const std::vector<ag::Var>& candidate_embs,
-                     const std::vector<Matrix>& slot_confidence, double eta);
-/// Scratch-backed overload — the trainer's hot path: inside an ArenaScope
-/// the operand lists, the graph, and the loss all come from the arena.
+/// (batch×1). Returns the mean loss over the batch as a 1×1 Var. The lists
+/// are scratch-backed: inside an ArenaScope the operand lists, the graph,
+/// and the loss all come from the arena.
 ag::Var GroupNllLoss(const ag::Var& anchor_emb,
                      const ag::VarList& candidate_embs,
                      const MatrixList& slot_confidence, double eta);

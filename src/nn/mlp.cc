@@ -3,11 +3,9 @@
 #include "nn/mlp.h"
 
 #include <cmath>
-#include <fstream>
 #include <utility>
 
 #include "tensor/ops.h"
-#include "tensor/serialize.h"
 
 namespace rll::nn {
 
@@ -178,30 +176,6 @@ std::vector<ag::Var> Mlp::Parameters() const {
     for (const ag::Var& p : norm.Parameters()) params.push_back(p);
   }
   return params;
-}
-
-Status Mlp::Save(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f.is_open()) return Status::IOError("cannot open for write: " + path);
-  for (const ag::Var& p : Parameters()) {
-    RLL_RETURN_IF_ERROR(WriteMatrix(&f, p->value));
-  }
-  return Status::OK();
-}
-
-Status Mlp::Load(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.is_open()) return Status::IOError("cannot open for read: " + path);
-  for (const ag::Var& p : Parameters()) {
-    Result<Matrix> m = ReadMatrix(&f);
-    if (!m.ok()) return m.status();
-    if (m->rows() != p->value.rows() || m->cols() != p->value.cols()) {
-      return Status::InvalidArgument(
-          "checkpoint shape mismatch (architecture differs)");
-    }
-    p->value = std::move(*m);
-  }
-  return Status::OK();
 }
 
 }  // namespace rll::nn

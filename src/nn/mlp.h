@@ -71,11 +71,6 @@ class Mlp {
   size_t output_dim() const { return config_.dims.back(); }
   const MlpConfig& config() const { return config_; }
 
-  /// Checkpointing: text format, one matrix per parameter.
-  Status Save(const std::string& path) const;
-  /// Loads parameter values into this (architecture must match).
-  Status Load(const std::string& path);
-
  private:
   /// Shared tail of Forward / ForwardTrain.
   ag::Var Run(const ag::Var& x, bool training, Rng* rng) const;

@@ -6,36 +6,8 @@
 
 namespace rll::nn {
 
-void Optimizer::ZeroGrad() {
-  for (const ag::Var& p : params_) p->ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<ag::Var> params, SgdOptions options)
-    : Optimizer(std::move(params)), options_(options) {
-  velocity_.reserve(params_.size());
-  for (const ag::Var& p : params_) {
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    ag::Var& p = params_[i];
-    if (p->grad.empty()) continue;
-    Matrix& vel = velocity_[i];
-    for (size_t j = 0; j < p->value.size(); ++j) {
-      double g = p->grad[j] + options_.weight_decay * p->value[j];
-      if (options_.momentum != 0.0) {
-        vel[j] = options_.momentum * vel[j] + g;
-        g = vel[j];
-      }
-      p->value[j] -= options_.lr * g;
-    }
-  }
-}
-
 Adam::Adam(std::vector<ag::Var> params, AdamOptions options)
-    : Optimizer(std::move(params)), options_(options) {
+    : params_(std::move(params)), options_(options) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const ag::Var& p : params_) {
@@ -72,25 +44,8 @@ void Adam::Step() {
   }
 }
 
-RmsProp::RmsProp(std::vector<ag::Var> params, RmsPropOptions options)
-    : Optimizer(std::move(params)), options_(options) {
-  sq_avg_.reserve(params_.size());
-  for (const ag::Var& p : params_) {
-    sq_avg_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void RmsProp::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    ag::Var& p = params_[i];
-    if (p->grad.empty()) continue;
-    Matrix& s = sq_avg_[i];
-    for (size_t j = 0; j < p->value.size(); ++j) {
-      const double g = p->grad[j] + options_.weight_decay * p->value[j];
-      s[j] = options_.rho * s[j] + (1.0 - options_.rho) * g * g;
-      p->value[j] -= options_.lr * g / (std::sqrt(s[j]) + options_.eps);
-    }
-  }
+void Adam::ZeroGrad() {
+  for (const ag::Var& p : params_) p->ZeroGrad();
 }
 
 double ClipGradNorm(const std::vector<ag::Var>& params, double max_norm) {
@@ -110,18 +65,6 @@ double ClipGradNorm(const std::vector<ag::Var>& params, double max_norm) {
     }
   }
   return norm;
-}
-
-double StepDecaySchedule::LrAt(int epoch) const {
-  return base_lr_ * std::pow(gamma_, static_cast<double>(epoch / step_size_));
-}
-
-double CosineSchedule::LrAt(int epoch) const {
-  if (epoch >= total_epochs_) return min_lr_;
-  const double t = static_cast<double>(epoch) /
-                   static_cast<double>(total_epochs_);
-  return min_lr_ +
-         0.5 * (base_lr_ - min_lr_) * (1.0 + std::cos(t * 3.14159265358979));
 }
 
 }  // namespace rll::nn

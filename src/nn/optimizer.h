@@ -1,12 +1,11 @@
-// First-order optimizers over autograd parameters.
+// Adam over autograd parameters — the optimizer the paper trains RLL with.
 //
 // Usage pattern per step:
-//   opt.ZeroGrad(); Var loss = ...; ag::Backward(loss); opt.Step();
+//   adam.ZeroGrad(); Var loss = ...; ag::Backward(loss); adam.Step();
 
 #ifndef RLL_NN_OPTIMIZER_H_
 #define RLL_NN_OPTIMIZER_H_
 
-#include <memory>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -14,63 +13,29 @@
 
 namespace rll::nn {
 
-/// Abstract optimizer bound to a fixed parameter set.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<ag::Var> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the gradients currently stored on params.
-  /// Parameters with empty gradients are skipped.
-  virtual void Step() = 0;
-
-  /// Clears gradients on all bound parameters.
-  void ZeroGrad();
-
-  const std::vector<ag::Var>& params() const { return params_; }
-
- protected:
-  std::vector<ag::Var> params_;
-};
-
-struct SgdOptions {
-  double lr = 0.01;
-  double momentum = 0.0;
-  /// Decoupled L2 penalty added to gradients as wd·θ.
-  double weight_decay = 0.0;
-};
-
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<ag::Var> params, SgdOptions options);
-  void Step() override;
-
-  void set_lr(double lr) { options_.lr = lr; }
-  double lr() const { return options_.lr; }
-
- private:
-  SgdOptions options_;
-  std::vector<Matrix> velocity_;  // Parallel to params_.
-};
-
 struct AdamOptions {
   double lr = 0.001;
   double beta1 = 0.9;
   double beta2 = 0.999;
   double eps = 1e-8;
+  /// L2 penalty added to gradients as wd·θ.
   double weight_decay = 0.0;
 };
 
-class Adam : public Optimizer {
+/// Adam bound to a fixed parameter set.
+class Adam {
  public:
   Adam(std::vector<ag::Var> params, AdamOptions options);
-  void Step() override;
 
-  void set_lr(double lr) { options_.lr = lr; }
-  double lr() const { return options_.lr; }
+  /// Applies one update using the gradients currently stored on params.
+  /// Parameters with empty gradients are skipped.
+  void Step();
+
+  /// Clears gradients on all bound parameters.
+  void ZeroGrad();
 
  private:
+  std::vector<ag::Var> params_;
   AdamOptions options_;
   std::vector<Matrix> m_;  // First moment, parallel to params_.
   std::vector<Matrix> v_;  // Second moment.
@@ -81,58 +46,9 @@ class Adam : public Optimizer {
   obs::Gauge* lr_metric_;
 };
 
-struct RmsPropOptions {
-  double lr = 0.001;
-  /// Exponential decay of the squared-gradient average.
-  double rho = 0.9;
-  double eps = 1e-8;
-  double weight_decay = 0.0;
-};
-
-class RmsProp : public Optimizer {
- public:
-  RmsProp(std::vector<ag::Var> params, RmsPropOptions options);
-  void Step() override;
-
-  void set_lr(double lr) { options_.lr = lr; }
-  double lr() const { return options_.lr; }
-
- private:
-  RmsPropOptions options_;
-  std::vector<Matrix> sq_avg_;  // Parallel to params_.
-};
-
 /// Scales all gradients so their global L2 norm is at most max_norm.
 /// Returns the pre-clipping norm. Call between Backward() and Step().
 double ClipGradNorm(const std::vector<ag::Var>& params, double max_norm);
-
-/// Multiplicative step decay: lr ← lr0 · gamma^(epoch / step_size).
-class StepDecaySchedule {
- public:
-  StepDecaySchedule(double base_lr, double gamma, int step_size)
-      : base_lr_(base_lr), gamma_(gamma), step_size_(step_size) {}
-
-  double LrAt(int epoch) const;
-
- private:
-  double base_lr_;
-  double gamma_;
-  int step_size_;
-};
-
-/// Cosine annealing from base_lr to min_lr over total_epochs.
-class CosineSchedule {
- public:
-  CosineSchedule(double base_lr, double min_lr, int total_epochs)
-      : base_lr_(base_lr), min_lr_(min_lr), total_epochs_(total_epochs) {}
-
-  double LrAt(int epoch) const;
-
- private:
-  double base_lr_;
-  double min_lr_;
-  int total_epochs_;
-};
 
 }  // namespace rll::nn
 

@@ -74,17 +74,8 @@ bool IsShuttingDown(const Status& status) {
 }
 
 MicroBatcher::MicroBatcher(const MicroBatcherOptions& options,
-                           BatchFn batch_fn, EmbeddingCache* cache)
-    : options_(options), batch_fn_(std::move(batch_fn)), cache_(cache) {
-  RLL_CHECK_GE(options_.max_batch, 1u);
-  RLL_CHECK_GE(options_.max_queue, 1u);
-  Metrics();  // Resolve instruments before concurrent use.
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-MicroBatcher::MicroBatcher(const MicroBatcherOptions& options,
                            BatchIntoFn batch_fn, EmbeddingCache* cache)
-    : options_(options), batch_into_fn_(std::move(batch_fn)), cache_(cache) {
+    : options_(options), batch_fn_(std::move(batch_fn)), cache_(cache) {
   RLL_CHECK_GE(options_.max_batch, 1u);
   RLL_CHECK_GE(options_.max_queue, 1u);
   Metrics();  // Resolve instruments before concurrent use.
@@ -223,17 +214,9 @@ void MicroBatcher::RunBatch(std::vector<Pending>& batch) {
   }
 
   Stopwatch timer;
-  Matrix legacy;  // Holds the result only on the copying BatchFn path.
-  const Matrix* embedded_ptr;
-  if (batch_into_fn_) {
-    // Allocation-free path: the batch function writes into (and returns a
-    // reference aliasing) the worker's workspace.
-    embedded_ptr = &batch_into_fn_(stacked, ws_);
-  } else {
-    legacy = batch_fn_(stacked);
-    embedded_ptr = &legacy;
-  }
-  const Matrix& embedded = *embedded_ptr;
+  // The batch function writes into (and returns a reference aliasing) the
+  // worker's workspace.
+  const Matrix& embedded = batch_fn_(stacked, ws_);
   Metrics().batch_embed_ms->Observe(timer.ElapsedMillis());
   Metrics().batch_size->Observe(static_cast<double>(n));
   Metrics().batches->Increment();

@@ -40,7 +40,7 @@
 namespace rll::serve {
 
 struct MicroBatcherOptions {
-  /// Largest coalesced batch (rows per BatchFn call).
+  /// Largest coalesced batch (rows per batch function call).
   size_t max_batch = 32;
   /// How long the worker waits after the first queued request for more
   /// arrivals before running a partial batch. 0 = run immediately.
@@ -60,21 +60,15 @@ bool IsShuttingDown(const Status& status);
 class MicroBatcher {
  public:
   /// Maps a stacked n×in matrix to the n×out result, row-aligned. Runs on
-  /// the batcher's worker thread (never on a producer).
-  using BatchFn = std::function<Matrix(const Matrix&)>;
-  /// Workspace-threading variant: the result reference must alias a `ws`
-  /// buffer (or otherwise outlive the call) and is consumed before the
-  /// next invocation. With this form the whole stack→embed step reuses
-  /// the worker's buffers — zero allocations at steady state.
+  /// the batcher's worker thread (never on a producer). The result
+  /// reference must alias a `ws` buffer (or otherwise outlive the call)
+  /// and is consumed before the next invocation, so the whole stack→embed
+  /// step reuses the worker's buffers — zero allocations at steady state.
   using BatchIntoFn =
       std::function<const Matrix&(const Matrix&, Workspace&)>;
 
   /// `cache` is optional (nullptr disables caching); it is probed in
   /// Embed before enqueueing and filled by the worker after each batch.
-  MicroBatcher(const MicroBatcherOptions& options, BatchFn batch_fn,
-               EmbeddingCache* cache);
-  /// Allocation-free form (preferred): batch matrices come from the
-  /// worker's Workspace and the batch function writes into it too.
   MicroBatcher(const MicroBatcherOptions& options, BatchIntoFn batch_fn,
                EmbeddingCache* cache);
   ~MicroBatcher();
@@ -122,8 +116,7 @@ class MicroBatcher {
   void RunBatch(std::vector<Pending>& batch);
 
   const MicroBatcherOptions options_;
-  const BatchFn batch_fn_;            // Exactly one of batch_fn_ /
-  const BatchIntoFn batch_into_fn_;   // batch_into_fn_ is set.
+  const BatchIntoFn batch_fn_;
   EmbeddingCache* const cache_;  // Not owned; may be nullptr.
 
   // Worker-thread state (no locking: RunBatch only runs on worker_).

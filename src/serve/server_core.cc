@@ -137,15 +137,14 @@ Result<std::shared_ptr<ServerCore::ServingState>> ServerCore::BuildState(
   // pointer is stable (ModelBundle holds the model behind a shared_ptr)
   // and the batcher is a member of the same ServingState, declared last so
   // its drain finishes before the bundle dies. Rows arrive already
-  // standardized. The workspace-threading form keeps the steady-state
-  // batch → embed step allocation-free.
+  // standardized. Writing into the worker's workspace keeps the
+  // steady-state batch → embed step allocation-free.
   const core::RllModel* model = &state->bundle.model();
   state->batcher = std::make_unique<MicroBatcher>(
       options_.batcher,
-      MicroBatcher::BatchIntoFn(
-          [model](const Matrix& x, Workspace& ws) -> const Matrix& {
-            return model->EmbedInto(x, ws);
-          }),
+      [model](const Matrix& x, Workspace& ws) -> const Matrix& {
+        return model->EmbedInto(x, ws);
+      },
       state->cache.get());
   return state;
 }

@@ -43,25 +43,14 @@ size_t ElemGrain(size_t n) {
   return n < kElemSerialSize ? std::max<size_t>(n, 1) : kElemGrain;
 }
 
-// Reshapes `out` to rows×cols, zeroing it either way (accumulating kernels).
-// Reshape keeps capacity, so an output cycled through varying shapes (serve
-// batches) reallocates only until it has seen its largest shape.
-void EnsureZeroed(Matrix& out, size_t rows, size_t cols) {
-  out.Reshape(rows, cols);
-  out.Fill(0.0);
-}
-
-// Reshapes `out` without clearing it (kernels that overwrite every element;
-// any garbage surviving the capacity reuse is overwritten before it is read).
-void EnsureShape(Matrix& out, size_t rows, size_t cols) {
-  out.Reshape(rows, cols);
-}
-
 }  // namespace
 
 void MulInto(const Matrix& a, const Matrix& b, Matrix& out) {
   RLL_CHECK_EQ(a.cols(), b.rows());
-  EnsureZeroed(out, a.rows(), b.cols());
+  // Reshape keeps capacity, so an output cycled through varying shapes
+  // (serve batches) reallocates only until it has seen its largest shape.
+  out.Reshape(a.rows(), b.cols());
+  out.Fill(0.0);
   // i-k-j loop order keeps the inner loop streaming over contiguous rows.
   // Rows of c are independent, so the row partition is bitwise-stable.
   ParallelFor(0, a.rows(), GemmRowGrain(a.rows(), a.cols() * b.cols()),
@@ -86,9 +75,9 @@ Matrix Matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void MulTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out) {
+Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
   RLL_CHECK_EQ(a.rows(), b.rows());
-  EnsureZeroed(out, a.cols(), b.cols());
+  Matrix out(a.cols(), b.cols());
   // i-outer so rows of c are written by exactly one chunk; per element the
   // accumulation still runs over k ascending (with the same zero-skip), so
   // the sums match the historical k-outer kernel bit for bit.
@@ -105,17 +94,12 @@ void MulTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out) {
                 }
               });
   RLL_DCHECK_FINITE(out);
+  return out;
 }
 
-Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  MulTransposeAInto(a, b, c);
-  return c;
-}
-
-void MulTransposeBInto(const Matrix& a, const Matrix& b, Matrix& out) {
+Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
   RLL_CHECK_EQ(a.cols(), b.cols());
-  EnsureShape(out, a.rows(), b.rows());
+  Matrix out(a.rows(), b.rows());
   ParallelFor(0, a.rows(), GemmRowGrain(a.rows(), b.rows() * a.cols()),
               [&](size_t row_begin, size_t row_end) {
                 for (size_t i = row_begin; i < row_end; ++i) {
@@ -130,12 +114,7 @@ void MulTransposeBInto(const Matrix& a, const Matrix& b, Matrix& out) {
                 }
               });
   RLL_DCHECK_FINITE(out);
-}
-
-Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  MulTransposeBInto(a, b, c);
-  return c;
+  return out;
 }
 
 Matrix Transpose(const Matrix& a) {
@@ -150,17 +129,12 @@ Matrix Transpose(const Matrix& a) {
   return t;
 }
 
-void AddInto(const Matrix& a, const Matrix& b, Matrix& out) {
-  RLL_CHECK(a.SameShape(b));
-  EnsureShape(out, a.rows(), a.cols());
-  ParallelFor(0, a.size(), ElemGrain(a.size()), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) out[i] = a[i] + b[i];
-  });
-}
-
 Matrix Add(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  AddInto(a, b, c);
+  RLL_CHECK(a.SameShape(b));
+  Matrix c(a.rows(), a.cols());
+  ParallelFor(0, a.size(), ElemGrain(a.size()), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) c[i] = a[i] + b[i];
+  });
   return c;
 }
 
@@ -178,15 +152,6 @@ Matrix Hadamard(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), a.cols());
   ParallelFor(0, a.size(), ElemGrain(a.size()), [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) c[i] = a[i] * b[i];
-  });
-  return c;
-}
-
-Matrix Divide(const Matrix& a, const Matrix& b) {
-  RLL_CHECK(a.SameShape(b));
-  Matrix c(a.rows(), a.cols());
-  ParallelFor(0, a.size(), ElemGrain(a.size()), [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) c[i] = a[i] / b[i];
   });
   return c;
 }
@@ -239,21 +204,6 @@ Matrix MulRowBroadcast(const Matrix& a, const Matrix& row) {
   return c;
 }
 
-Matrix MulColBroadcast(const Matrix& a, const Matrix& col) {
-  RLL_CHECK_EQ(col.cols(), 1u);
-  RLL_CHECK_EQ(col.rows(), a.rows());
-  Matrix c = a;
-  ParallelFor(0, c.rows(), RowOpGrain(c.rows(), c.cols()),
-              [&](size_t row_begin, size_t row_end) {
-                for (size_t r = row_begin; r < row_end; ++r) {
-                  const double s = col(r, 0);
-                  double* crow = c.row_data(r);
-                  for (size_t j = 0; j < c.cols(); ++j) crow[j] *= s;
-                }
-              });
-  return c;
-}
-
 Matrix Map(const Matrix& a, const std::function<double(double)>& f) {
   Matrix c(a.rows(), a.cols());
   ParallelFor(0, a.size(), ElemGrain(a.size()), [&](size_t lo, size_t hi) {
@@ -284,13 +234,6 @@ double Sum(const Matrix& a) {
 double Mean(const Matrix& a) {
   RLL_CHECK_GT(a.size(), 0u);
   return Sum(a) / static_cast<double>(a.size());
-}
-
-double Min(const Matrix& a) {
-  RLL_CHECK_GT(a.size(), 0u);
-  double m = a[0];
-  for (size_t i = 1; i < a.size(); ++i) m = std::min(m, a[i]);
-  return m;
 }
 
 double Max(const Matrix& a) {
@@ -351,20 +294,6 @@ double Dot(const Matrix& a, const Matrix& b) {
 }
 
 double Norm(const Matrix& a) { return std::sqrt(Dot(a, a)); }
-
-Matrix RowNorms(const Matrix& a, double eps) {
-  Matrix out(a.rows(), 1);
-  ParallelFor(0, a.rows(), RowOpGrain(a.rows(), a.cols()),
-              [&](size_t row_begin, size_t row_end) {
-                for (size_t r = row_begin; r < row_end; ++r) {
-                  const double* row = a.row_data(r);
-                  double s = 0.0;
-                  for (size_t c = 0; c < a.cols(); ++c) s += row[c] * row[c];
-                  out(r, 0) = std::max(std::sqrt(s), eps);
-                }
-              });
-  return out;
-}
 
 Matrix RowCosine(const Matrix& a, const Matrix& b, double eps) {
   RLL_CHECK(a.SameShape(b));

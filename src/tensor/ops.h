@@ -32,15 +32,6 @@ Matrix MatmulTransposeB(const Matrix& a, const Matrix& b);
 /// `out` must not alias a or b.
 void MulInto(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// out = Aᵀ·B; same contract as MulInto.
-void MulTransposeAInto(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out = A·Bᵀ; same contract as MulInto.
-void MulTransposeBInto(const Matrix& a, const Matrix& b, Matrix& out);
-
-/// out = A + B elementwise. `out` may alias a or b.
-void AddInto(const Matrix& a, const Matrix& b, Matrix& out);
-
 /// Adds a 1×cols row vector to every row of `m`, in place.
 void AddRowBroadcastInPlace(Matrix& m, const Matrix& row);
 
@@ -50,8 +41,6 @@ Matrix Add(const Matrix& a, const Matrix& b);
 Matrix Sub(const Matrix& a, const Matrix& b);
 /// Elementwise product.
 Matrix Hadamard(const Matrix& a, const Matrix& b);
-/// Elementwise quotient; caller guarantees b has no zeros.
-Matrix Divide(const Matrix& a, const Matrix& b);
 Matrix Scale(const Matrix& a, double s);
 Matrix AddScalar(const Matrix& a, double s);
 
@@ -59,15 +48,12 @@ Matrix AddScalar(const Matrix& a, double s);
 Matrix AddRowBroadcast(const Matrix& a, const Matrix& row);
 /// Multiplies every row of a elementwise by a 1×cols row vector.
 Matrix MulRowBroadcast(const Matrix& a, const Matrix& row);
-/// Multiplies row r of a by col(r, 0) of a rows×1 column vector.
-Matrix MulColBroadcast(const Matrix& a, const Matrix& col);
 
 /// Applies f to every element.
 Matrix Map(const Matrix& a, const std::function<double(double)>& f);
 
 double Sum(const Matrix& a);
 double Mean(const Matrix& a);
-double Min(const Matrix& a);
 double Max(const Matrix& a);
 /// Sum over columns → rows×1.
 Matrix RowSum(const Matrix& a);
@@ -80,9 +66,6 @@ Matrix ColMean(const Matrix& a);
 double Dot(const Matrix& a, const Matrix& b);
 /// Frobenius / L2 norm.
 double Norm(const Matrix& a);
-
-/// Row-wise L2 norms → rows×1. Never returns exact zeros: clamped at eps.
-Matrix RowNorms(const Matrix& a, double eps = 1e-12);
 
 /// cosine(a_r, b_r) per row → rows×1. Shapes must match.
 Matrix RowCosine(const Matrix& a, const Matrix& b, double eps = 1e-12);

@@ -1,7 +1,8 @@
 #include "tensor/serialize.h"
 
-#include <fstream>
-#include <sstream>
+#include <istream>
+#include <ostream>
+#include <string>
 
 #include "common/strings.h"
 
@@ -21,7 +22,7 @@ Status WriteMatrix(std::ostream* os, const Matrix& m) {
   return Status::OK();
 }
 
-Result<Matrix> ReadMatrix(std::istream* is) {
+Status ReadMatrix(std::istream* is, Matrix* out) {
   std::string tag;
   size_t rows = 0, cols = 0;
   if (!((*is) >> tag >> rows >> cols)) {
@@ -30,27 +31,19 @@ Result<Matrix> ReadMatrix(std::istream* is) {
   if (tag != "matrix") {
     return Status::InvalidArgument("bad matrix header tag: " + tag);
   }
-  Matrix m(rows, cols);
-  for (size_t i = 0; i < rows * cols; ++i) {
-    if (!((*is) >> m[i])) {
+  if (rows != out->rows() || cols != out->cols()) {
+    return Status::InvalidArgument(
+        StrFormat("matrix header is %zux%zu, expected %zux%zu", rows, cols,
+                  out->rows(), out->cols()));
+  }
+  for (size_t i = 0; i < out->size(); ++i) {
+    if (!((*is) >> (*out)[i])) {
       return Status::IOError(
           StrFormat("failed to read matrix element %zu of %zu", i,
-                    rows * cols));
+                    out->size()));
     }
   }
-  return m;
-}
-
-Status SaveMatrix(const std::string& path, const Matrix& m) {
-  std::ofstream f(path);
-  if (!f.is_open()) return Status::IOError("cannot open for write: " + path);
-  return WriteMatrix(&f, m);
-}
-
-Result<Matrix> LoadMatrix(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.is_open()) return Status::IOError("cannot open for read: " + path);
-  return ReadMatrix(&f);
+  return Status::OK();
 }
 
 }  // namespace rll

@@ -1,5 +1,5 @@
-// Text (de)serialization of matrices — used for model checkpoints and for
-// exporting learned embeddings to downstream tooling.
+// Text (de)serialization of matrices — the body format of model bundles
+// (core/model_bundle.h).
 //
 // Format (line-oriented, locale-independent):
 //   matrix <rows> <cols>
@@ -10,7 +10,6 @@
 #define RLL_TENSOR_SERIALIZE_H_
 
 #include <iosfwd>
-#include <string>
 
 #include "common/status.h"
 #include "tensor/matrix.h"
@@ -20,12 +19,11 @@ namespace rll {
 /// Writes `m` to the stream in the text format above.
 Status WriteMatrix(std::ostream* os, const Matrix& m);
 
-/// Reads one matrix from the stream; fails on malformed headers or rows.
-Result<Matrix> ReadMatrix(std::istream* is);
-
-/// Convenience file wrappers.
-Status SaveMatrix(const std::string& path, const Matrix& m);
-Result<Matrix> LoadMatrix(const std::string& path);
+/// Reads one matrix into `out`, whose shape is the one expected: a header
+/// naming any other shape fails before a single element is read, so a
+/// corrupt header can never size an allocation. Also fails on malformed
+/// headers or rows.
+Status ReadMatrix(std::istream* is, Matrix* out);
 
 }  // namespace rll
 

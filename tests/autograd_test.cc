@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
@@ -149,12 +150,12 @@ TEST(GradCheckTest, Sigmoid) {
   EXPECT_LT(r.max_relative_error, kTol);
 }
 
-TEST(GradCheckTest, ExpLogSquareSqrt) {
+TEST(GradCheckTest, LogSquareSqrt) {
   Matrix m = RandomMat(3, 3, 11);
   for (size_t i = 0; i < m.size(); ++i) m[i] = std::fabs(m[i]) + 0.5;
   Var a = Parameter(m);
-  auto r = CheckGradients(
-      {a}, [&] { return Sum(Log(Exp(Sqrt(Square(a))))); });
+  auto r =
+      CheckGradients({a}, [&] { return Sum(Log(Sqrt(Square(a)))); });
   EXPECT_LT(r.max_relative_error, kTol);
 }
 
@@ -169,40 +170,12 @@ TEST(GradCheckTest, Div) {
   EXPECT_LT(r.max_relative_error, kTol);
 }
 
-TEST(GradCheckTest, AbsAwayFromKink) {
-  Matrix m = RandomMat(4, 4, 42);
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (std::fabs(m[i]) < 0.1) m[i] = 0.5;
-  }
-  Var a = Parameter(m);
-  auto r = CheckGradients({a}, [&] { return Sum(Abs(a)); });
-  EXPECT_LT(r.max_relative_error, kTol);
-}
-
-TEST(GradCheckTest, ClampMinAwayFromKink) {
-  Matrix m = RandomMat(4, 4, 43);
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (std::fabs(m[i] - 0.3) < 0.1) m[i] = 1.0;  // Clear of the floor.
-  }
-  Var a = Parameter(m);
-  auto r = CheckGradients({a}, [&] { return Sum(ClampMin(a, 0.3)); });
-  EXPECT_LT(r.max_relative_error, kTol);
-}
-
 TEST(OpsSemanticsTest, DivMatchesElementwiseQuotient) {
   Var a = Constant(Matrix{{6.0, -9.0}});
   Var b = Constant(Matrix{{2.0, 3.0}});
   Var q = Div(a, b);
   EXPECT_DOUBLE_EQ(q->value(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(q->value(0, 1), -3.0);
-}
-
-TEST(OpsSemanticsTest, ClampMinFloorsValues) {
-  Var a = Constant(Matrix{{-1.0, 0.5, 2.0}});
-  Var c = ClampMin(a, 0.0);
-  EXPECT_DOUBLE_EQ(c->value(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(c->value(0, 1), 0.5);
-  EXPECT_DOUBLE_EQ(c->value(0, 2), 2.0);
 }
 
 TEST(GradCheckTest, MeanAndRowSum) {
@@ -235,26 +208,11 @@ TEST(GradCheckTest, ConcatCols) {
   EXPECT_LT(r.max_relative_error, kTol);
 }
 
-TEST(GradCheckTest, ConcatRows) {
-  Var a = Parameter(RandomMat(2, 3, 20));
-  Var b = Parameter(RandomMat(4, 3, 21));
-  auto r = CheckGradients(
-      {a, b}, [&] { return Sum(Square(ConcatRows(VarList{a, b}))); });
-  EXPECT_LT(r.max_relative_error, kTol);
-}
-
 TEST(GradCheckTest, LogSoftmaxRows) {
   Var a = Parameter(RandomMat(4, 5, 22, 2.0));
+  const size_t targets[] = {0, 2, 4, 1};
   auto r = CheckGradients(
-      {a}, [&] { return NllRows(LogSoftmaxRows(a), {0, 2, 4, 1}); });
-  EXPECT_LT(r.max_relative_error, kTol);
-}
-
-TEST(GradCheckTest, WeightedNll) {
-  Var a = Parameter(RandomMat(3, 4, 23, 2.0));
-  auto r = CheckGradients({a}, [&] {
-    return WeightedNllRows(LogSoftmaxRows(a), {1, 0, 3}, {0.2, 1.0, 0.5});
-  });
+      {a}, [&] { return NllRows(LogSoftmaxRows(a), targets, 4); });
   EXPECT_LT(r.max_relative_error, kTol);
 }
 
@@ -291,14 +249,15 @@ TEST(GradCheckTest, GroupSoftmaxLossShape) {
   for (size_t i = 0; i < conf.size(); ++i) {
     conf[i] = 0.5 + 0.5 / (1.0 + std::exp(-conf[i]));
   }
+  const std::vector<size_t> targets(5, 0);
   auto forward = [&] {
-    std::vector<Var> scores;
+    VarList scores;
     for (const Var& cand : {pos, neg1, neg2}) {
       scores.push_back(
           Scale(Mul(RowCosine(anchor, cand), Constant(conf)), 10.0));
     }
-    return NllRows(LogSoftmaxRows(ConcatCols(scores)),
-                   std::vector<size_t>(5, 0));
+    return NllRows(LogSoftmaxRows(ConcatCols(scores)), targets.data(),
+                   targets.size());
   };
   auto r = CheckGradients({anchor, pos, neg1, neg2}, forward);
   EXPECT_LT(r.max_relative_error, kTol);
@@ -319,7 +278,8 @@ TEST(OpsSemanticsTest, LogSoftmaxRowsNormalizes) {
 TEST(OpsSemanticsTest, NllMatchesManualComputation) {
   Matrix logits = {{2.0, 1.0, 0.0}, {0.0, 3.0, 1.0}};
   Var lp = LogSoftmaxRows(Constant(logits));
-  Var loss = NllRows(lp, {0, 1});
+  const size_t targets[] = {0, 1};
+  Var loss = NllRows(lp, targets, 2);
   const double expected =
       -(lp->value(0, 0) + lp->value(1, 1)) / 2.0;
   EXPECT_NEAR(loss->value(0, 0), expected, 1e-12);

@@ -10,7 +10,6 @@
 #include "baselines/aggregated_lr.h"
 #include "baselines/label_source.h"
 #include "baselines/method.h"
-#include "baselines/pca_method.h"
 #include "baselines/raykar.h"
 #include "core/tuning.h"
 #include "baselines/registry.h"
@@ -199,30 +198,6 @@ TEST(DeepBaselineTest, FailsWithSingleClassLabels) {
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// --------------------------------------------------------------------- PCA
-
-TEST(PcaMethodTest, LearnsAboveChance) {
-  // PCA keeps the strongest directions, which include the class signal in
-  // this generator, so PCA+LR should be a competent (not winning) control.
-  ExpectMethodLearns(PcaMethod({.num_components = 8}), 19);
-}
-
-TEST(PcaMethodTest, NameAndGroup) {
-  PcaMethod m;
-  EXPECT_EQ(m.name(), "PCA");
-  EXPECT_EQ(m.group(), "control");
-}
-
-TEST(PcaMethodTest, ClampsComponentsToFeatureDim) {
-  Rng rng(20);
-  data::Dataset d = SmallAnnotatedDataset(&rng);
-  PcaMethod method({.num_components = 10000});  // Far above dim.
-  const data::Split split = data::TrainTestSplit(d.size(), 0.3, &rng);
-  auto predicted = method.TrainAndPredict(
-      d.Subset(split.train), d.Subset(split.test).features(), &rng);
-  EXPECT_TRUE(predicted.ok()) << predicted.status().ToString();
-}
-
 // ------------------------------------------------------------------ Tuning
 
 TEST(TuningTest, PicksFromGridAndReportsAllPoints) {
@@ -273,7 +248,21 @@ TEST(TuningTest, RejectsBadInputs) {
 // ------------------------------------------------------------------ Raykar
 
 TEST(RaykarTest, LearnsAboveChance) {
-  ExpectMethodLearns(RaykarMethod(), 14);
+  // The jointly learned classifier generalizes to held-out examples.
+  double total = 0.0;
+  const int trials = 3;
+  for (int t = 0; t < trials; ++t) {
+    Rng rng(1400 + static_cast<uint64_t>(t));
+    data::Dataset d = SmallAnnotatedDataset(&rng);
+    const data::Split split = data::TrainTestSplit(d.size(), 0.3, &rng);
+    const data::Dataset test = d.Subset(split.test);
+    auto model = FitRaykar(d.Subset(split.train));
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    total += classify::Evaluate(test.true_labels(),
+                                model->classifier.Predict(test.features()))
+                 .accuracy;
+  }
+  EXPECT_GT(total / trials, 0.62);
 }
 
 TEST(RaykarTest, RecoversWorkerSensitivities) {

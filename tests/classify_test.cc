@@ -10,7 +10,6 @@
 #include "classify/metrics.h"
 #include "classify/pca.h"
 #include "classify/ranking_metrics.h"
-#include "classify/softmax_regression.h"
 #include "common/rng.h"
 #include "tensor/init.h"
 
@@ -189,87 +188,6 @@ TEST(LogisticRegressionTest, HandlesClassImbalanceGracefully) {
   EXPECT_GT(Evaluate(labels, lr.Predict(x)).accuracy, 0.9);
 }
 
-// ------------------------------------------------------ SoftmaxRegression
-
-TEST(SoftmaxRegressionTest, SeparatesThreeGaussianBlobs) {
-  Rng rng(30);
-  const size_t n = 300;
-  Matrix x(n, 2);
-  std::vector<int> labels(n);
-  const double centers[3][2] = {{0, 3}, {-3, -2}, {3, -2}};
-  for (size_t i = 0; i < n; ++i) {
-    const int c = static_cast<int>(i % 3);
-    labels[i] = c;
-    x(i, 0) = rng.Normal(centers[c][0], 0.6);
-    x(i, 1) = rng.Normal(centers[c][1], 0.6);
-  }
-  SoftmaxRegression sr;
-  ASSERT_TRUE(sr.Fit(x, labels).ok());
-  EXPECT_EQ(sr.num_classes(), 3u);
-  const std::vector<int> pred = sr.Predict(x);
-  size_t correct = 0;
-  for (size_t i = 0; i < n; ++i) correct += (pred[i] == labels[i]);
-  EXPECT_GT(static_cast<double>(correct) / n, 0.97);
-}
-
-TEST(SoftmaxRegressionTest, ProbabilityRowsSumToOne) {
-  Rng rng(31);
-  Matrix x = RandomNormal(50, 3, &rng);
-  std::vector<int> labels(50);
-  for (size_t i = 0; i < 50; ++i) labels[i] = static_cast<int>(i % 4);
-  SoftmaxRegression sr;
-  ASSERT_TRUE(sr.Fit(x, labels).ok());
-  const Matrix probs = sr.PredictProba(x);
-  EXPECT_EQ(probs.cols(), 4u);
-  for (size_t r = 0; r < probs.rows(); ++r) {
-    double total = 0.0;
-    for (size_t c = 0; c < probs.cols(); ++c) {
-      EXPECT_GE(probs(r, c), 0.0);
-      total += probs(r, c);
-    }
-    EXPECT_NEAR(total, 1.0, 1e-9);
-  }
-}
-
-TEST(SoftmaxRegressionTest, BinaryCaseAgreesWithLogisticRegression) {
-  Rng rng(32);
-  std::vector<int> labels;
-  Matrix x = SeparableData(&labels, &rng);
-  SoftmaxRegression sr;
-  LogisticRegression lr;
-  ASSERT_TRUE(sr.Fit(x, labels).ok());
-  ASSERT_TRUE(lr.Fit(x, labels).ok());
-  const std::vector<int> sr_pred = sr.Predict(x);
-  const std::vector<int> lr_pred = lr.Predict(x);
-  size_t agree = 0;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    agree += (sr_pred[i] == lr_pred[i]);
-  }
-  EXPECT_GT(static_cast<double>(agree) / labels.size(), 0.98);
-}
-
-TEST(SoftmaxRegressionTest, RejectsBadInputs) {
-  SoftmaxRegression sr;
-  Matrix x(4, 2);
-  EXPECT_FALSE(sr.Fit(Matrix(), {}).ok());
-  EXPECT_FALSE(sr.Fit(x, {0, 1}).ok());            // Size mismatch.
-  EXPECT_FALSE(sr.Fit(x, {0, -1, 0, 1}).ok());     // Negative label.
-  EXPECT_FALSE(sr.Fit(x, {0, 0, 0, 0}).ok());      // Single class.
-  EXPECT_FALSE(sr.Fit(x, {0, 1, 2, 1}, 2).ok());   // Label ≥ num_classes.
-}
-
-TEST(SoftmaxRegressionTest, ExplicitNumClassesAllowsUnseenClasses) {
-  // Training data only has classes 0 and 2, but K = 4 is declared: the
-  // model must fit and emit 4-way posteriors.
-  Matrix x = {{-2, 0}, {-2.2, 0}, {2, 0}, {2.2, 0}};
-  SoftmaxRegression sr;
-  ASSERT_TRUE(sr.Fit(x, {0, 0, 2, 2}, 4).ok());
-  EXPECT_EQ(sr.num_classes(), 4u);
-  const std::vector<int> pred = sr.Predict(x);
-  EXPECT_EQ(pred[0], 0);
-  EXPECT_EQ(pred[3], 2);
-}
-
 // -------------------------------------------------------------------- PCA
 
 TEST(PcaTest, RecoversDominantDirection) {
@@ -384,31 +302,6 @@ TEST(RankingMetricsTest, AucInvariantToMonotoneTransform) {
     squashed[i] = std::tanh(scores[i]);  // Strictly monotone.
   }
   EXPECT_NEAR(RocAuc(truth, scores), RocAuc(truth, squashed), 1e-12);
-}
-
-TEST(RankingMetricsTest, LogLossHandValues) {
-  // -log(0.8) for a correct confident positive.
-  EXPECT_NEAR(LogLoss({1}, {0.8}), -std::log(0.8), 1e-12);
-  // Symmetric for negatives.
-  EXPECT_NEAR(LogLoss({0}, {0.2}), -std::log(0.8), 1e-12);
-}
-
-TEST(RankingMetricsTest, LogLossClampsExtremeProbabilities) {
-  const double loss = LogLoss({1}, {0.0});
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_GT(loss, 20.0);  // -log(1e-12) ≈ 27.6.
-}
-
-TEST(RankingMetricsTest, BrierScoreHandValues) {
-  EXPECT_NEAR(BrierScore({1, 0}, {0.8, 0.3}), (0.04 + 0.09) / 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(BrierScore({1}, {1.0}), 0.0);
-}
-
-TEST(RankingMetricsTest, CalibratedBeatsMiscalibratedOnLogLoss) {
-  const std::vector<int> truth = {1, 1, 1, 0};
-  const std::vector<double> calibrated = {0.75, 0.75, 0.75, 0.25};
-  const std::vector<double> overconfident = {0.99, 0.99, 0.99, 0.99};
-  EXPECT_LT(LogLoss(truth, calibrated), LogLoss(truth, overconfident));
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ TEST(GroupLossTest, PerfectRetrievalGivesLowLoss) {
   Matrix anchor = {{1.0, 0.0}, {0.0, 1.0}};
   Matrix pos = anchor;
   Matrix neg = {{-1.0, 0.0}, {0.0, -1.0}};
-  std::vector<Matrix> conf(2, Matrix(2, 1, 1.0));
+  MatrixList conf(2, Matrix(2, 1, 1.0));
   ag::Var loss = GroupNllLoss(ag::Constant(anchor),
                               {ag::Constant(pos), ag::Constant(neg)}, conf,
                               /*eta=*/10.0);
@@ -128,7 +128,7 @@ TEST(GroupLossTest, UniformScoresGiveLogK1) {
   // All candidates equally similar → loss = log(#candidates).
   Matrix anchor = {{1.0, 0.0}};
   Matrix cand = {{1.0, 0.0}};
-  std::vector<Matrix> conf(4, Matrix(1, 1, 1.0));
+  MatrixList conf(4, Matrix(1, 1, 1.0));
   ag::Var loss = GroupNllLoss(
       ag::Constant(anchor),
       {ag::Constant(cand), ag::Constant(cand), ag::Constant(cand),
@@ -143,8 +143,8 @@ TEST(GroupLossTest, LowConfidencePositiveRaisesItsWeightInLossLess) {
   Matrix anchor = {{1.0, 0.2}};
   Matrix pos = {{0.9, 0.3}};
   Matrix neg = {{-0.5, 1.0}};
-  std::vector<Matrix> full_conf = {Matrix(1, 1, 1.0), Matrix(1, 1, 1.0)};
-  std::vector<Matrix> weak_conf = {Matrix(1, 1, 0.3), Matrix(1, 1, 1.0)};
+  MatrixList full_conf = {Matrix(1, 1, 1.0), Matrix(1, 1, 1.0)};
+  MatrixList weak_conf = {Matrix(1, 1, 0.3), Matrix(1, 1, 1.0)};
   ag::Var strong = GroupNllLoss(
       ag::Constant(anchor), {ag::Constant(pos), ag::Constant(neg)},
       full_conf, 5.0);
@@ -160,7 +160,7 @@ TEST(GroupLossTest, GradCheckThroughEmbeddings) {
   ag::Var pos = ag::Parameter(RandomNormal(3, 4, &rng));
   ag::Var neg1 = ag::Parameter(RandomNormal(3, 4, &rng));
   ag::Var neg2 = ag::Parameter(RandomNormal(3, 4, &rng));
-  std::vector<Matrix> conf;
+  MatrixList conf;
   for (int s = 0; s < 3; ++s) {
     Matrix c(3, 1);
     for (size_t i = 0; i < 3; ++i) c(i, 0) = 0.3 + 0.2 * (s + 1);
@@ -186,17 +186,6 @@ TEST(RllModelTest, EmbedShapeAndBounds) {
     EXPECT_GE(e[i], -1.0);
     EXPECT_LE(e[i], 1.0);
   }
-}
-
-TEST(RllModelTest, SaveLoadRoundTrip) {
-  Rng rng(7);
-  RllModel a({.input_dim = 6, .hidden_dims = {4}}, &rng);
-  RllModel b({.input_dim = 6, .hidden_dims = {4}}, &rng);
-  const std::string path = ::testing::TempDir() + "/rll_model.ckpt";
-  ASSERT_TRUE(a.Save(path).ok());
-  ASSERT_TRUE(b.Load(path).ok());
-  Matrix x = RandomNormal(3, 6, &rng);
-  EXPECT_TRUE(a.Embed(x).AllClose(b.Embed(x)));
 }
 
 // --------------------------------------------------------------- RllTrainer
@@ -488,6 +477,23 @@ TEST(EmbeddingIndexTest, ErrorContracts) {
 
 // -------------------------------------------------------------- ModelBundle
 
+// A well-formed v2 bundle for a dims=2,3 tanh encoder: header, mean,
+// stddev, weight, bias. Tests corrupt one piece at a time.
+constexpr char kTinyHeader[] =
+    "rll-bundle v2 dims=2,3 hidden=tanh output=tanh\n";
+constexpr char kTinyBody[] =
+    "matrix 1 2\n0 0\nmatrix 1 2\n1 1\n"
+    "matrix 2 3\n1 2 3 4 5 6\nmatrix 1 3\n0 0 0\n";
+
+Result<ModelBundle> LoadText(const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/bundle_text.ckpt";
+  {
+    std::ofstream f(path);
+    f << text;
+  }
+  return ModelBundle::Load(path);
+}
+
 TEST(ModelBundleTest, SaveLoadEmbedRoundTrip) {
   Rng rng(50);
   Matrix raw = RandomNormal(20, 6, &rng, 5.0, 2.0);
@@ -531,13 +537,12 @@ TEST(ModelBundleTest, CreateRejectsUnfittedStandardizer) {
 }
 
 TEST(ModelBundleTest, LoadRejectsCorruptFiles) {
-  const std::string path = ::testing::TempDir() + "/corrupt.ckpt";
-  {
-    std::ofstream f(path);
-    f << "matrix 1 2\n0 0\nmatrix 1 2\n1 1\nmatrix 2 3\n1 2 3 4 5 6\n";
-    // Weight without its bias: odd parameter count.
-  }
-  EXPECT_FALSE(ModelBundle::Load(path).ok());
+  ASSERT_TRUE(LoadText(std::string(kTinyHeader) + kTinyBody).ok());
+  // Weight without its bias: the file ends one matrix early.
+  EXPECT_FALSE(LoadText(std::string(kTinyHeader) +
+                        "matrix 1 2\n0 0\nmatrix 1 2\n1 1\n"
+                        "matrix 2 3\n1 2 3 4 5 6\n")
+                   .ok());
   EXPECT_FALSE(ModelBundle::Load("/nonexistent/bundle").ok());
 }
 
@@ -552,8 +557,8 @@ TEST(ModelBundleTest, EmbedRejectsWrongWidth) {
 }
 
 TEST(ModelBundleTest, V2RoundTripsNonDefaultArchitecture) {
-  // The legacy loader hard-coded tanh; the v2 header must reconstruct a
-  // relu/none LayerNorm encoder exactly.
+  // Shapes alone cannot tell activations apart; the v2 header must
+  // reconstruct a relu/none LayerNorm encoder exactly.
   Rng rng(54);
   Matrix raw = RandomNormal(12, 5, &rng, 2.0, 1.5);
   data::Standardizer standardizer;
@@ -588,10 +593,9 @@ TEST(ModelBundleTest, V2RoundTripsNonDefaultArchitecture) {
   EXPECT_TRUE(*original == *reloaded);
 }
 
-TEST(ModelBundleTest, LoadsLegacyHeaderlessFormat) {
-  // A legacy file is exactly a v2 file minus its header line (mean,
-  // stddev, weight/bias pairs); it must load via shape inference with the
-  // tanh defaults it was trained with.
+TEST(ModelBundleTest, RejectsHeaderlessFile) {
+  // A v2 file minus its header line (the pre-header layout) is not a
+  // bundle: without the header nothing fixes the architecture.
   Rng rng(55);
   Matrix raw = RandomNormal(10, 4, &rng);
   data::Standardizer standardizer;
@@ -599,35 +603,28 @@ TEST(ModelBundleTest, LoadsLegacyHeaderlessFormat) {
   RllModel model({.input_dim = 4, .hidden_dims = {5, 3}}, &rng);
   auto bundle = ModelBundle::Create(standardizer, model, &rng);
   ASSERT_TRUE(bundle.ok());
-  const std::string v2_path = ::testing::TempDir() + "/bundle_for_legacy.ckpt";
+  const std::string v2_path = ::testing::TempDir() + "/bundle_headered.ckpt";
   ASSERT_TRUE(bundle->Save(v2_path).ok());
 
-  const std::string legacy_path = ::testing::TempDir() + "/bundle_legacy.ckpt";
+  const std::string headerless_path =
+      ::testing::TempDir() + "/bundle_headerless.ckpt";
   {
     std::ifstream in(v2_path);
-    std::ofstream out(legacy_path);
+    std::ofstream out(headerless_path);
     std::string line;
     ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));  // Drop header.
     EXPECT_EQ(line.rfind("rll-bundle", 0), 0u);
     while (std::getline(in, line)) out << line << "\n";
   }
 
-  auto loaded = ModelBundle::Load(legacy_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->model().config().hidden_activation,
-            nn::Activation::kTanh);
-  auto original = bundle->Embed(raw);
-  auto restored = loaded->Embed(raw);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(restored.ok());
-  EXPECT_TRUE(*original == *restored);
+  auto loaded = ModelBundle::Load(headerless_path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("not a bundle header"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(ModelBundleTest, RejectsMalformedHeaders) {
-  const std::string path = ::testing::TempDir() + "/bad_header.ckpt";
-  const std::string body =
-      "matrix 1 2\n0 0\nmatrix 1 2\n1 1\n"
-      "matrix 2 3\n1 2 3 4 5 6\nmatrix 1 3\n0 0 0\n";
   const std::vector<std::string> bad_headers = {
       "rll-bundle v99 dims=2,3 hidden=tanh output=tanh",  // Bad version.
       "rll-bundle v2 hidden=tanh output=tanh",            // Missing dims.
@@ -635,14 +632,15 @@ TEST(ModelBundleTest, RejectsMalformedHeaders) {
       "rll-bundle v2 dims=2,3 hidden=tanh output=tanh shiny=1",  // Unknown.
       "rll-bundle v2 dims=2,3 hidden=tanh output=tanh embed_dim=7",
       "rll-bundle v2 dims=2 hidden=tanh output=tanh",     // Too few dims.
+      // The encoder is built from the header before its parameters are
+      // read: widths no file this small could hold must fail, not abort
+      // in the allocator.
+      "rll-bundle v2 dims=1000000000000,3 hidden=tanh output=tanh",
+      "rll-bundle v2 dims=2,1000000000000 hidden=tanh output=tanh",
   };
   for (const std::string& header : bad_headers) {
-    {
-      std::ofstream f(path);
-      f << header << "\n" << body;
-    }
-    auto loaded = ModelBundle::Load(path);
-    EXPECT_FALSE(loaded.ok()) << "accepted header: " << header;
+    EXPECT_FALSE(LoadText(header + "\n" + kTinyBody).ok())
+        << "accepted header: " << header;
   }
 }
 
@@ -656,6 +654,42 @@ TEST(ModelBundleTest, RejectsParameterShapeMismatchAgainstHeader) {
       << "matrix 2 4\n1 2 3 4 5 6 7 8\nmatrix 1 4\n0 0 0 0\n";
   }
   EXPECT_FALSE(ModelBundle::Load(path).ok());
+}
+
+TEST(ModelBundleTest, RejectsOversizedMatrixHeadersWithoutAborting) {
+  // Sizing a matrix from its own header would abort the process here:
+  // std::bad_alloc for the first header, std::length_error for the second
+  // (-1 wraps to SIZE_MAX). Either in place of the mean's header or of a
+  // parameter's, Load must fail instead.
+  const std::string good = std::string(kTinyHeader) + kTinyBody;
+  ASSERT_TRUE(LoadText(good).ok());
+  for (const std::string bad : {"matrix 1 1000000000000", "matrix 1 -1"}) {
+    for (const std::string target : {"matrix 1 2", "matrix 2 3"}) {
+      std::string text = good;
+      text.replace(text.find(target), target.size(), bad);
+      EXPECT_FALSE(LoadText(text).ok()) << bad << " for " << target;
+    }
+  }
+}
+
+TEST(ModelBundleTest, RejectsTrailingData) {
+  Rng rng(56);
+  Matrix raw = RandomNormal(10, 4, &rng);
+  data::Standardizer standardizer;
+  standardizer.Fit(raw);
+  RllModel model({.input_dim = 4, .hidden_dims = {3}}, &rng);
+  auto bundle = ModelBundle::Create(standardizer, model, &rng);
+  ASSERT_TRUE(bundle.ok());
+  const std::string path = ::testing::TempDir() + "/bundle_trailing.ckpt";
+  ASSERT_TRUE(bundle->Save(path).ok());
+  ASSERT_TRUE(ModelBundle::Load(path).ok());
+  {
+    std::ofstream f(path, std::ios::app);
+    f << "an appended line\n";
+  }
+  EXPECT_FALSE(ModelBundle::Load(path).ok());
+  // Trailing whitespace alone is still a complete bundle.
+  EXPECT_TRUE(LoadText(std::string(kTinyHeader) + kTinyBody + "\n\n").ok());
 }
 
 // ----------------------------------------------------------------- Pipeline

@@ -11,6 +11,7 @@
 #include "baselines/softprob.h"
 #include "classify/logistic_regression.h"
 #include "common/threading.h"
+#include "core/model_bundle.h"
 #include "core/pipeline.h"
 #include "crowd/agreement.h"
 #include "crowd/worker_pool.h"
@@ -147,16 +148,17 @@ TEST(IntegrationTest, CheckpointedModelReproducesPredictions) {
                          std::vector<double>(s.dataset.size(), 1.0))
                   .ok());
 
+  auto bundle =
+      core::ModelBundle::Create(standardizer, trainer.model(), &s.rng);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   const std::string path = ::testing::TempDir() + "/integration_model.ckpt";
-  ASSERT_TRUE(trainer.model().Save(path).ok());
+  ASSERT_TRUE(bundle->Save(path).ok());
 
-  Rng rng2(999);
-  core::RllModelConfig model_config = options.model;
-  model_config.input_dim = features.cols();
-  core::RllModel restored(model_config, &rng2);
-  ASSERT_TRUE(restored.Load(path).ok());
-  EXPECT_TRUE(restored.Embed(features).AllClose(
-      trainer.model().Embed(features)));
+  auto restored = core::ModelBundle::Load(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  auto embedded = restored->Embed(s.dataset.features());
+  ASSERT_TRUE(embedded.ok());
+  EXPECT_TRUE(embedded->AllClose(trainer.model().Embed(features)));
 }
 
 TEST(IntegrationTest, BayesianConfidenceHelpsUnderHeavyNoiseFewVotes) {

@@ -1,6 +1,6 @@
 // Self-test for the in-repo linter: every rule must both fire on a known-bad
 // snippet and stay quiet on the idiomatic version. The repo-wide run is a
-// separate CTest test (lint.repo) registered in tools/CMakeLists.txt.
+// separate CTest test (analyze.repo) registered in tools/CMakeLists.txt.
 
 #include <string>
 #include <vector>
@@ -119,7 +119,7 @@ TEST(RawRandRuleTest, FiresOnRandAndSrand) {
 
 TEST(RawRandRuleTest, PassesOnMembersOtherNamespacesAndRngFiles) {
   EXPECT_TRUE(Lint("src/core/a.cc", "rng.rand();\n").empty());
-  EXPECT_TRUE(Lint("src/core/a.cc", "legacy::rand();\n").empty());
+  EXPECT_TRUE(Lint("src/core/a.cc", "mylib::rand();\n").empty());
   EXPECT_TRUE(Lint("src/core/a.cc", "int brand(int);\n").empty());
   EXPECT_TRUE(Lint("src/common/rng.cc", "int x = rand();\n").empty());
 }

@@ -123,7 +123,7 @@ TEST_P(GroupLossPropertyTest, EtaSharpensWinningGroups) {
   Matrix anchor = RandomNormal(batch, dim, &rng);
   Matrix pos = anchor;  // Positive perfectly aligned → always wins.
   Matrix neg = RandomNormal(batch, dim, &rng);
-  std::vector<Matrix> conf = {Matrix(batch, 1, 1.0), Matrix(batch, 1, 0.7)};
+  MatrixList conf = {Matrix(batch, 1, 1.0), Matrix(batch, 1, 0.7)};
   auto loss_at = [&](double eta) {
     return core::GroupNllLoss(ag::Constant(anchor),
                               {ag::Constant(pos), ag::Constant(neg)}, conf,
@@ -145,17 +145,15 @@ TEST_P(GroupLossPropertyTest, NegativeOrderInvariance) {
   Matrix c_pos(batch, 1, 0.9), c1(batch, 1, 0.6), c2(batch, 1, 0.8);
   const double a = core::GroupNllLoss(
                        ag::Constant(anchor),
-                       std::vector<ag::Var>{ag::Constant(pos),
-                                            ag::Constant(n1),
-                                            ag::Constant(n2)},
-                       std::vector<Matrix>{c_pos, c1, c2}, 5.0)
+                       ag::VarList{ag::Constant(pos),
+                                   ag::Constant(n1), ag::Constant(n2)},
+                       MatrixList{c_pos, c1, c2}, 5.0)
                        ->value(0, 0);
   const double b = core::GroupNllLoss(
                        ag::Constant(anchor),
-                       std::vector<ag::Var>{ag::Constant(pos),
-                                            ag::Constant(n2),
-                                            ag::Constant(n1)},
-                       std::vector<Matrix>{c_pos, c2, c1}, 5.0)
+                       ag::VarList{ag::Constant(pos),
+                                   ag::Constant(n2), ag::Constant(n1)},
+                       MatrixList{c_pos, c2, c1}, 5.0)
                        ->value(0, 0);
   EXPECT_NEAR(a, b, 1e-12);
 }
@@ -167,8 +165,8 @@ TEST_P(GroupLossPropertyTest, LossWithinEnvelope) {
   const size_t batch = 5, dim = 4, k = 3;
   const double eta = 1.0 + rng.Uniform() * 10.0;
   Matrix anchor = RandomNormal(batch, dim, &rng);
-  std::vector<ag::Var> candidates;
-  std::vector<Matrix> conf;
+  ag::VarList candidates;
+  MatrixList conf;
   for (size_t s = 0; s <= k; ++s) {
     candidates.push_back(ag::Constant(RandomNormal(batch, dim, &rng)));
     Matrix c(batch, 1);

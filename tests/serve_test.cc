@@ -167,11 +167,12 @@ TEST(EmbeddingCacheTest, DistinctRowsHashDifferently) {
   EXPECT_NE(base, EmbeddingCache::HashRow(Row({1.0, 2.0, 0.0})));
 }
 
-// ---------------------------------------------------------------- Batcher
+// ----------------------------------------------------------- MicroBatcher
 
-// Deterministic stand-in for Mlp::Embed: out[i] = 2*in[i] + column index.
-Matrix DoubleRows(const Matrix& in) {
-  Matrix out(in.rows(), in.cols());
+// Deterministic stand-in for Mlp::EmbedInto: out[i] = 2*in[i] + column
+// index, written into a workspace buffer like the real batch function.
+const Matrix& DoubleRows(const Matrix& in, Workspace& ws) {
+  Matrix& out = ws.GetReshaped("test.double_rows", in.rows(), in.cols());
   for (size_t r = 0; r < in.rows(); ++r) {
     for (size_t c = 0; c < in.cols(); ++c) {
       out(r, c) = 2.0 * in(r, c) + static_cast<double>(c);
@@ -211,8 +212,10 @@ TEST(MicroBatcherTest, BatchedMatchesSerialBitwise) {
   }
   for (std::thread& t : threads) t.join();
 
+  Workspace ws;
   for (size_t i = 0; i < kRows; ++i) {
-    const Matrix serial = DoubleRows(Row({static_cast<double>(i), 0.25 * i}));
+    const Matrix& serial =
+        DoubleRows(Row({static_cast<double>(i), 0.25 * i}), ws);
     EXPECT_TRUE(batched[i] == serial) << "row " << i;
   }
   EXPECT_EQ(batcher.rows_batched(), kRows);
@@ -272,9 +275,9 @@ TEST(MicroBatcherTest, BoundedQueueRejectsOverload) {
   options.max_queue = 2;
   MicroBatcher batcher(
       options,
-      [&gate](const Matrix& in) {
+      [&gate](const Matrix& in, Workspace& ws) -> const Matrix& {
         gate.Pass();
-        return DoubleRows(in);
+        return DoubleRows(in, ws);
       },
       nullptr);
 
@@ -315,9 +318,9 @@ TEST(MicroBatcherTest, StopDrainsQueuedRequests) {
   options.batch_timeout_us = 0;
   MicroBatcher batcher(
       options,
-      [&gate](const Matrix& in) {
+      [&gate](const Matrix& in, Workspace& ws) -> const Matrix& {
         gate.Pass();
-        return DoubleRows(in);
+        return DoubleRows(in, ws);
       },
       nullptr);
 
@@ -354,9 +357,9 @@ TEST(MicroBatcherTest, UsesCacheAcrossRequests) {
   std::atomic<uint64_t> calls{0};
   MicroBatcher batcher(
       {},
-      [&calls](const Matrix& in) {
+      [&calls](const Matrix& in, Workspace& ws) -> const Matrix& {
         calls.fetch_add(1);
-        return DoubleRows(in);
+        return DoubleRows(in, ws);
       },
       &cache);
   const Matrix row = Row({4.0, 5.0});

@@ -105,10 +105,5 @@ TEST(PermutationTest, RejectsMismatchedSizes) {
   EXPECT_FALSE(PairedPermutationTest({}, {}, &rng).ok());
 }
 
-TEST(CorrectnessVectorTest, EncodesMatches) {
-  const auto v = CorrectnessVector({1, 0, 1}, {1, 1, 0});
-  EXPECT_EQ(v, (std::vector<double>{1.0, 0.0, 0.0}));
-}
-
 }  // namespace
 }  // namespace rll::classify

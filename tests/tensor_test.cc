@@ -120,18 +120,6 @@ TEST(OpsTest, IntoVariantsMatchAllocatingOps) {
   Matrix out;
   MulInto(a, b, out);
   EXPECT_EQ(out, Matmul(a, b));
-
-  Matrix ta = RandomNormal(5, 6, &rng);
-  MulTransposeAInto(ta, b, out);
-  EXPECT_EQ(out, MatmulTransposeA(ta, b));
-
-  Matrix tb = RandomNormal(7, 5, &rng);
-  MulTransposeBInto(a, tb, out);
-  EXPECT_EQ(out, MatmulTransposeB(a, tb));
-
-  Matrix c = RandomNormal(6, 7, &rng);
-  AddInto(out, c, out);  // Aliased output is part of the contract.
-  EXPECT_EQ(out, Add(MatmulTransposeB(a, tb), c));
 }
 
 TEST(OpsTest, MulIntoReshapesStaleOutput) {
@@ -156,7 +144,6 @@ TEST(OpsTest, ElementwiseOps) {
   EXPECT_EQ(Add(a, b), Matrix({{3, 0}, {5, 6}}));
   EXPECT_EQ(Sub(a, b), Matrix({{-1, -4}, {1, 2}}));
   EXPECT_EQ(Hadamard(a, b), Matrix({{2, -4}, {6, 8}}));
-  EXPECT_EQ(Divide(a, b), Matrix({{0.5, -1}, {1.5, 2}}));
   EXPECT_EQ(Scale(a, -1), Matrix({{-1, 2}, {-3, -4}}));
   EXPECT_EQ(AddScalar(a, 1), Matrix({{2, -1}, {4, 5}}));
 }
@@ -166,15 +153,12 @@ TEST(OpsTest, Broadcasts) {
   EXPECT_EQ(AddRowBroadcast(a, Matrix({{10, 20}})),
             Matrix({{11, 22}, {13, 24}}));
   EXPECT_EQ(MulRowBroadcast(a, Matrix({{2, 0}})), Matrix({{2, 0}, {6, 0}}));
-  EXPECT_EQ(MulColBroadcast(a, Matrix({{2}, {3}})),
-            Matrix({{2, 4}, {9, 12}}));
 }
 
 TEST(OpsTest, Reductions) {
   Matrix a = {{1, 2}, {3, 4}};
   EXPECT_DOUBLE_EQ(Sum(a), 10.0);
   EXPECT_DOUBLE_EQ(Mean(a), 2.5);
-  EXPECT_DOUBLE_EQ(Min(a), 1.0);
   EXPECT_DOUBLE_EQ(Max(a), 4.0);
   EXPECT_EQ(RowSum(a), Matrix({{3}, {7}}));
   EXPECT_EQ(ColSum(a), Matrix({{4, 6}}));
@@ -185,13 +169,6 @@ TEST(OpsTest, DotAndNorm) {
   Matrix a = {{3, 4}};
   EXPECT_DOUBLE_EQ(Dot(a, a), 25.0);
   EXPECT_DOUBLE_EQ(Norm(a), 5.0);
-}
-
-TEST(OpsTest, RowNormsClampedAtEps) {
-  Matrix a = {{0, 0}, {3, 4}};
-  Matrix norms = RowNorms(a, 1e-12);
-  EXPECT_DOUBLE_EQ(norms(0, 0), 1e-12);
-  EXPECT_DOUBLE_EQ(norms(1, 0), 5.0);
 }
 
 TEST(OpsTest, RowCosineHandValues) {
@@ -335,34 +312,35 @@ TEST(SerializeTest, StreamRoundTrip) {
   Matrix m = RandomNormal(4, 7, &rng);
   std::stringstream ss;
   ASSERT_TRUE(WriteMatrix(&ss, m).ok());
-  Result<Matrix> back = ReadMatrix(&ss);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->AllClose(m, 0.0, 0.0));  // %.17g is lossless.
-}
-
-TEST(SerializeTest, FileRoundTrip) {
-  Rng rng(6);
-  Matrix m = RandomNormal(3, 3, &rng);
-  const std::string path = ::testing::TempDir() + "/mat.txt";
-  ASSERT_TRUE(SaveMatrix(path, m).ok());
-  Result<Matrix> back = LoadMatrix(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->AllClose(m, 0.0, 0.0));
+  Matrix back(4, 7);
+  ASSERT_TRUE(ReadMatrix(&ss, &back).ok());
+  EXPECT_TRUE(back.AllClose(m, 0.0, 0.0));  // %.17g is lossless.
 }
 
 TEST(SerializeTest, RejectsBadHeader) {
   std::stringstream ss("garbage 2 2\n1 2\n3 4\n");
-  EXPECT_FALSE(ReadMatrix(&ss).ok());
+  Matrix out(2, 2);
+  EXPECT_FALSE(ReadMatrix(&ss, &out).ok());
 }
 
 TEST(SerializeTest, RejectsTruncatedBody) {
   std::stringstream ss("matrix 2 2\n1 2 3\n");
-  EXPECT_FALSE(ReadMatrix(&ss).ok());
+  Matrix out(2, 2);
+  EXPECT_FALSE(ReadMatrix(&ss, &out).ok());
 }
 
-TEST(SerializeTest, LoadMissingFileFails) {
-  EXPECT_EQ(LoadMatrix("/nonexistent/path/m.txt").status().code(),
-            StatusCode::kIOError);
+TEST(SerializeTest, RejectsUnexpectedShapeBeforeReadingElements) {
+  // Header shapes that differ from the expected one — transposed, huge,
+  // or negative (which wraps to a huge size_t) — fail without touching
+  // the output.
+  for (const char* text : {"matrix 3 2\n1 2 3 4 5 6\n",
+                           "matrix 1 1000000000000\n1\n",
+                           "matrix 1 -1\n1\n"}) {
+    std::stringstream ss(text);
+    Matrix out(2, 3, 7.0);
+    EXPECT_FALSE(ReadMatrix(&ss, &out).ok()) << text;
+    EXPECT_EQ(out, Matrix(2, 3, 7.0)) << text;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// rll_lint: the repo's own static checker, enforcing invariants that
-// clang-tidy cannot express because they are conventions of *this* codebase:
+// Style rules of the repo's own static checker (rll_analyze), enforcing
+// invariants that clang-tidy cannot express because they are conventions of
+// *this* codebase:
 //
 //   header-guard        .h guards must be RLL_<PATH>_H_ (src/ prefix dropped)
 //   using-namespace-std no `using namespace std` anywhere
@@ -18,7 +19,7 @@
 //
 // The core is a library (linted content goes in as strings) so the test
 // suite can feed known-bad snippets and assert each rule fires; the
-// `rll_lint` binary wraps it with directory walking.
+// `rll_analyze` binary wraps it with directory walking.
 
 #ifndef RLL_TOOLS_ANALYZE_LINTER_H_
 #define RLL_TOOLS_ANALYZE_LINTER_H_

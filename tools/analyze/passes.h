@@ -1,6 +1,6 @@
-// rll_analyze: file-level analysis passes enforcing the repo's layering,
+// File-level analysis passes of rll_analyze, enforcing the repo's layering,
 // determinism, and lock-discipline invariants. Complements the style rules
-// in linter.h; both run as CTest gates on every build.
+// in linter.h; the binary runs both as one CTest gate on every build.
 //
 //   layering            src/ modules may only include same- or lower-rank
 //                       modules in the DAG

@@ -1,25 +1,32 @@
-// Command-line driver for the analysis passes (tools/analyze/passes.h).
+// Command-line driver for the repo's static checks: the style rules
+// (tools/analyze/linter.h) and the layering, determinism, and
+// lock-discipline passes (tools/analyze/passes.h).
 //
 //   rll_analyze [--root <dir>] [--allowlist <file>] [file...]
 //
-// With no files, walks src/ under the root (default: cwd) and runs the
-// layering, determinism, and lock-discipline passes over every .h/.cc.
-// With files, analyzes just those (paths relative to the root). The
-// layering allowlist defaults to <root>/tools/analyze/layering_allowlist.txt
-// and is optional — a missing file means an empty allowlist. Exit code:
-// 0 clean, 1 violations, 2 usage error. Registered as a CTest test so
-// `ctest` fails on any new violation.
+// With no files, walks the root (default: cwd): the style rules run over
+// every .h/.cc under src/, tests/, bench/, tools/, and examples/, the
+// analysis passes over src/. With files, checks just those (paths relative
+// to the root). The layering allowlist defaults to
+// <root>/tools/analyze/layering_allowlist.txt and is optional — a missing
+// file means an empty allowlist. Exit code: 0 clean, 1 violations, 2 usage
+// error. Registered as a CTest test so `ctest` fails on any new violation.
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analyze/linter.h"
 #include "analyze/passes.h"
 
 namespace {
+
+using rll::analyze::Violation;
 
 /// Drops trailing slashes ("/repo/" -> "/repo") so reported paths never
 /// contain "//". Leaves bare "/" and "." alone.
@@ -28,6 +35,11 @@ std::string NormalizeRoot(std::string root) {
     root.pop_back();
   }
   return root;
+}
+
+void Append(std::vector<Violation>* all, std::vector<Violation> more) {
+  all->insert(all->end(), std::make_move_iterator(more.begin()),
+              std::make_move_iterator(more.end()));
 }
 
 }  // namespace
@@ -63,7 +75,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // A mistyped root would otherwise analyze zero files and "pass".
+  // A mistyped root would otherwise check zero files and "pass".
   if (!std::filesystem::is_directory(root)) {
     std::fprintf(stderr, "rll_analyze: root '%s' is not a directory\n",
                  root.c_str());
@@ -89,18 +101,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<rll::analyze::Violation> violations;
+  std::vector<Violation> violations;
   if (files.empty()) {
-    violations = rll::analyze::AnalyzeTree(root, options);
+    Append(&violations, rll::analyze::LintTree(root));
+    Append(&violations, rll::analyze::AnalyzeTree(root, options));
   } else {
     for (const std::string& f : files) {
-      std::vector<rll::analyze::Violation> v =
-          rll::analyze::AnalyzeFile(root, f, options);
-      violations.insert(violations.end(), v.begin(), v.end());
+      std::vector<Violation> style = rll::analyze::LintFile(root, f);
+      // An unreadable file is reported once, by the style pass.
+      const bool unreadable = !style.empty() && style[0].rule == "io-error";
+      Append(&violations, std::move(style));
+      if (!unreadable) {
+        Append(&violations, rll::analyze::AnalyzeFile(root, f, options));
+      }
     }
   }
 
-  for (const rll::analyze::Violation& v : violations) {
+  for (const Violation& v : violations) {
     std::printf("%s\n", rll::analyze::FormatViolation(v).c_str());
   }
   if (!violations.empty()) {

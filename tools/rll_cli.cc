@@ -80,7 +80,6 @@
 #include "serve/server_core.h"
 #include "serve/event/event_server.h"
 #include "serve/event/reload_manager.h"
-#include "tensor/serialize.h"
 
 namespace rll::cli {
 namespace {
