@@ -73,40 +73,44 @@ class AllocCounter {
   bool done_ = false;
 };
 
-void BM_Matmul(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
+// out = op(A)·op(B) through one reused output, the way every caller runs
+// the kernel; GFLOP/s counts 2·m·n·k flops per call. Expected
+// allocs_per_op: 0, Bᵀ included (its packing buffer is warmed by the
+// first call).
+void BM_Gemm(benchmark::State& state, size_t m, size_t k, size_t n,
+             bool trans_a, bool trans_b) {
   Rng rng(1);
-  Matrix a = RandomNormal(n, n, &rng);
-  Matrix b = RandomNormal(n, n, &rng);
-  AllocCounter allocs(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Matmul(a, b));
-  }
-  allocs.Done();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * n * n));
-}
-BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_MulInto(benchmark::State& state) {
-  // Same gemm with a reused output buffer — isolates the per-call
-  // allocation cost that Matmul pays.
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  Matrix a = RandomNormal(n, n, &rng);
-  Matrix b = RandomNormal(n, n, &rng);
+  const Matrix a =
+      trans_a ? RandomNormal(k, m, &rng) : RandomNormal(m, k, &rng);
+  const Matrix b =
+      trans_b ? RandomNormal(n, k, &rng) : RandomNormal(k, n, &rng);
   Matrix out;
-  MulInto(a, b, out);  // Warm the buffer; the timed loop is alloc-free.
+  Gemm(a, trans_a, b, trans_b, out);  // Warm the buffers.
   AllocCounter allocs(state);
   for (auto _ : state) {
-    MulInto(a, b, out);
+    Gemm(a, trans_a, b, trans_b, out);
     benchmark::DoNotOptimize(out.data());
   }
   allocs.Done();
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n * n * n));
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2e-9 * static_cast<double>(m * n * k) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_MulInto)->Arg(64)->Arg(256);
+// One 64-group RLL training step through the 16→64→32 encoder: forward
+// X·W₁ and H·W₂, backward dY·W₂ᵀ, Hᵀ·dY and Xᵀ·dH.
+BENCHMARK_CAPTURE(BM_Gemm, train_x_w1, 64, 16, 64, false, false);
+BENCHMARK_CAPTURE(BM_Gemm, train_h_w2, 64, 64, 32, false, false);
+BENCHMARK_CAPTURE(BM_Gemm, train_dy_w2t, 64, 32, 64, false, true);
+BENCHMARK_CAPTURE(BM_Gemm, train_ht_dy, 64, 64, 32, true, false);
+BENCHMARK_CAPTURE(BM_Gemm, train_xt_dh, 16, 64, 64, true, false);
+// Both encoder layers of a 1-row and a 16-row serve embed.
+BENCHMARK_CAPTURE(BM_Gemm, serve1_l1, 1, 16, 64, false, false);
+BENCHMARK_CAPTURE(BM_Gemm, serve1_l2, 1, 64, 32, false, false);
+BENCHMARK_CAPTURE(BM_Gemm, serve16_l1, 16, 16, 64, false, false);
+BENCHMARK_CAPTURE(BM_Gemm, serve16_l2, 16, 64, 32, false, false);
+BENCHMARK_CAPTURE(BM_Gemm, square64, 64, 64, 64, false, false);
+BENCHMARK_CAPTURE(BM_Gemm, square256, 256, 256, 256, false, false);
 
 void BM_RowCosine(benchmark::State& state) {
   Rng rng(2);
@@ -131,11 +135,12 @@ BENCHMARK(BM_MlpForward);
 
 void BM_MlpEmbedWorkspace(benchmark::State& state) {
   // BM_MlpForward minus the result copy: EmbedInto against a caller
-  // workspace is the serve batcher's steady-state call. Expected
+  // workspace is the serve batcher's steady-state call, here at 1 and 16
+  // rows (serve batches) and 64 (a training batch). Expected
   // allocs_per_op: 0 after the first pass warms the buffers.
   Rng rng(3);
   nn::Mlp mlp({.dims = {16, 64, 32}}, &rng);
-  Matrix x = RandomNormal(64, 16, &rng);
+  Matrix x = RandomNormal(static_cast<size_t>(state.range(0)), 16, &rng);
   Workspace ws;
   mlp.EmbedInto(x, ws);
   AllocCounter allocs(state);
@@ -143,7 +148,7 @@ void BM_MlpEmbedWorkspace(benchmark::State& state) {
     benchmark::DoNotOptimize(mlp.EmbedInto(x, ws));
   }
 }
-BENCHMARK(BM_MlpEmbedWorkspace);
+BENCHMARK(BM_MlpEmbedWorkspace)->Arg(1)->Arg(16)->Arg(64);
 
 void BM_MlpForwardBackward(benchmark::State& state) {
   Rng rng(4);
@@ -337,7 +342,7 @@ void BM_ProfilerOverhead(benchmark::State& state) {
   Matrix a = RandomNormal(n, n, &rng);
   Matrix b = RandomNormal(n, n, &rng);
   Matrix out;
-  MulInto(a, b, out);  // Warm the buffer.
+  Gemm(a, false, b, false, out);  // Warm the buffer.
   constexpr int kReps = 200;
   if (obs::CpuProfilerRunning()) {
     state.SkipWithError("profiler already armed (--profile-out?)");
@@ -348,7 +353,7 @@ void BM_ProfilerOverhead(benchmark::State& state) {
   for (auto _ : state) {
     Stopwatch unprofiled;
     for (int r = 0; r < kReps; ++r) {
-      MulInto(a, b, out);
+      Gemm(a, false, b, false, out);
       benchmark::DoNotOptimize(out.data());
     }
     base_ms += unprofiled.ElapsedMillis();
@@ -358,7 +363,7 @@ void BM_ProfilerOverhead(benchmark::State& state) {
     }
     Stopwatch profiled;
     for (int r = 0; r < kReps; ++r) {
-      MulInto(a, b, out);
+      Gemm(a, false, b, false, out);
       benchmark::DoNotOptimize(out.data());
     }
     profiled_ms += profiled.ElapsedMillis();

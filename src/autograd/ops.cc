@@ -35,10 +35,16 @@ Var Matmul(const Var& a, const Var& b) {
   return MakeOp(std::move(value), {a, b}, [](Node* n) {
     const Var& a = n->parents[0];
     const Var& b = n->parents[1];
-    if (a->requires_grad)
-      a->AccumulateGrad(MatmulTransposeB(n->grad, b->value));
-    if (b->requires_grad)
-      b->AccumulateGrad(MatmulTransposeA(a->value, n->grad));
+    if (a->requires_grad) {
+      Matrix da;
+      Gemm(n->grad, false, b->value, true, da);
+      a->AccumulateGrad(std::move(da));
+    }
+    if (b->requires_grad) {
+      Matrix db;
+      Gemm(a->value, true, n->grad, false, db);
+      b->AccumulateGrad(std::move(db));
+    }
   });
 }
 

@@ -21,7 +21,8 @@ Status Pca::Fit(const Matrix& x) {
     double* row = centered.row_data(r);
     for (size_t c = 0; c < dim; ++c) row[c] -= mean_[c];
   }
-  Matrix cov = MatmulTransposeA(centered, centered);
+  Matrix cov;
+  Gemm(centered, true, centered, false, cov);
   cov *= 1.0 / static_cast<double>(n - 1);
 
   components_ = Matrix(options_.num_components, dim);
@@ -75,7 +76,9 @@ Matrix Pca::Transform(const Matrix& x) const {
     double* row = centered.row_data(r);
     for (size_t c = 0; c < centered.cols(); ++c) row[c] -= mean_[c];
   }
-  return MatmulTransposeB(centered, components_);
+  Matrix projected;
+  Gemm(centered, false, components_, true, projected);
+  return projected;
 }
 
 }  // namespace rll::classify

@@ -157,7 +157,7 @@ const Matrix& Mlp::EmbedInto(const Matrix& x, Workspace& ws) const {
     Matrix& next = ws.GetReshaped(
         i % 2 == 0 ? "mlp.embed.ping" : "mlp.embed.pong", x.rows(),
         weight.cols());
-    MulInto(*cur, weight, next);
+    Gemm(*cur, false, weight, false, next);
     AddRowBroadcastInPlace(next, layers_[i].bias()->value);
     const bool last = (i + 1 == layers_.size());
     ActivateInPlace(next, last ? config_.output_activation

@@ -1,9 +1,12 @@
 // rll-analyze: hot-path — every kernel here sits inside the trainer batch
-// loop or the serve request path; allocation is reserved for Reshape growth.
+// loop or the serve request path; allocation is reserved for Reshape growth
+// and the growth of Gemm's per-thread Bᵀ buffer.
 #include "tensor/ops.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/finite_check.h"
 #include "common/threading.h"
@@ -43,78 +46,114 @@ size_t ElemGrain(size_t n) {
   return n < kElemSerialSize ? std::max<size_t>(n, 1) : kElemGrain;
 }
 
+// GEMM kernel: C = op(A)·op(B) in register tiles of kTileRows rows by 8
+// columns, held in two-double vectors (SSE2 on x86-64, NEON on aarch64,
+// through the GCC/Clang vector extension); two- and one-column tiles
+// finish the row. Every element is summed over k ascending from +0 with a
+// separate multiply and add (rll_tensor builds with -ffp-contract=off, so
+// no compiler fuses them): the order of a plain triple loop, so neither
+// the tiling nor the row partition changes a bit of the result.
+using Vec2 = double __attribute__((vector_size(16)));
+constexpr size_t kTileRows = 4;
+
+// Operands in place: op(A)(i, p) = a[i * a_row + p * a_k] (the strides
+// swap with trans_a); op(B) is row-major k × n, C row-major m × n.
+struct GemmOperands {
+  const double* a;
+  size_t a_row;
+  size_t a_k;
+  const double* b;
+  double* c;
+  size_t k;
+  size_t n;
+};
+
+// The MR-row block of C at (i, j) that NV values of V (a Vec2 or a
+// double) cover. memcpy loads and stores: rows need not be aligned. The
+// loops over the tile are unrolled fully so that -O2 keeps `acc` in
+// registers.
+template <typename V, size_t MR, size_t NV>
+void GemmTile(const GemmOperands& g, size_t i, size_t j) {
+  constexpr size_t kLanes = sizeof(V) / sizeof(double);
+  V acc[MR][NV] = {};
+  const double* a = g.a + i * g.a_row;
+  const double* b = g.b + j;
+  for (size_t p = 0; p < g.k; ++p) {
+    V bv[NV] = {};
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      std::memcpy(&bv[v], b + p * g.n + v * kLanes, sizeof(V));
+    }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < MR; ++r) {
+      const double x = a[r * g.a_row + p * g.a_k];
+#pragma GCC unroll 4
+      for (size_t v = 0; v < NV; ++v) acc[r][v] += x * bv[v];
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (size_t v = 0; v < NV; ++v) {
+      std::memcpy(g.c + (i + r) * g.n + j + v * kLanes, &acc[r][v],
+                  sizeof(V));
+    }
+  }
+}
+
+template <size_t MR>
+void GemmRows(const GemmOperands& g, size_t i) {
+  size_t j = 0;
+  for (; j + 8 <= g.n; j += 8) GemmTile<Vec2, MR, 4>(g, i, j);
+  for (; j + 2 <= g.n; j += 2) GemmTile<Vec2, MR, 1>(g, i, j);
+  if (j < g.n) GemmTile<double, MR, 1>(g, i, j);
+}
+
 }  // namespace
 
-void MulInto(const Matrix& a, const Matrix& b, Matrix& out) {
-  RLL_CHECK_EQ(a.cols(), b.rows());
-  // Reshape keeps capacity, so an output cycled through varying shapes
-  // (serve batches) reallocates only until it has seen its largest shape.
-  out.Reshape(a.rows(), b.cols());
-  out.Fill(0.0);
-  // i-k-j loop order keeps the inner loop streaming over contiguous rows.
-  // Rows of c are independent, so the row partition is bitwise-stable.
-  ParallelFor(0, a.rows(), GemmRowGrain(a.rows(), a.cols() * b.cols()),
+void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
+          Matrix& out) {
+  // Reshape and the tiles write `out` before the last reads of the inputs.
+  RLL_CHECK_MSG(&out != &a, "Gemm output aliases a");
+  RLL_CHECK_MSG(&out != &b, "Gemm output aliases b");
+  const size_t m = trans_a ? a.cols() : a.rows();
+  const size_t k = trans_a ? a.rows() : a.cols();
+  const size_t n = trans_b ? b.rows() : b.cols();
+  RLL_CHECK_EQ(k, trans_b ? b.cols() : b.rows());
+  out.Reshape(m, n);
+  if (k == 0) {  // Empty sums; the empty operands' data() may be null.
+    out.Fill(0.0);
+    return;
+  }
+  GemmOperands g{a.data(), trans_a ? 1 : k, trans_a ? m : 1, b.data(),
+                 out.data(), k, n};
+  if (trans_b) {
+    // Tiles stream rows of op(B), so Bᵀ is packed row-major once per
+    // call, by the calling thread. The buffer only grows, so steady-state
+    // callers allocate nothing; row-major B is read in place.
+    thread_local std::vector<double> packed;
+    if (packed.size() < k * n) packed.resize(k * n);
+    for (size_t p = 0; p < k; ++p) {
+      for (size_t j = 0; j < n; ++j) packed[p * n + j] = b(j, p);
+    }
+    g.b = packed.data();
+  }
+  // Rows of C are independent, so the row partition is bitwise-stable.
+  ParallelFor(0, m, GemmRowGrain(m, k * n),
               [&](size_t row_begin, size_t row_end) {
-                for (size_t i = row_begin; i < row_end; ++i) {
-                  const double* arow = a.row_data(i);
-                  double* crow = out.row_data(i);
-                  for (size_t k = 0; k < a.cols(); ++k) {
-                    const double aik = arow[k];
-                    if (aik == 0.0) continue;
-                    const double* brow = b.row_data(k);
-                    for (size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
-                  }
+                size_t i = row_begin;
+                for (; i + kTileRows <= row_end; i += kTileRows) {
+                  GemmRows<kTileRows>(g, i);
                 }
+                for (; i < row_end; ++i) GemmRows<1>(g, i);
               });
   RLL_DCHECK_FINITE(out);
 }
 
 Matrix Matmul(const Matrix& a, const Matrix& b) {
   Matrix c;
-  MulInto(a, b, c);
+  Gemm(a, false, b, false, c);
   return c;
-}
-
-Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
-  RLL_CHECK_EQ(a.rows(), b.rows());
-  Matrix out(a.cols(), b.cols());
-  // i-outer so rows of c are written by exactly one chunk; per element the
-  // accumulation still runs over k ascending (with the same zero-skip), so
-  // the sums match the historical k-outer kernel bit for bit.
-  ParallelFor(0, a.cols(), GemmRowGrain(a.cols(), a.rows() * b.cols()),
-              [&](size_t row_begin, size_t row_end) {
-                for (size_t i = row_begin; i < row_end; ++i) {
-                  double* crow = out.row_data(i);
-                  for (size_t k = 0; k < a.rows(); ++k) {
-                    const double aki = a(k, i);
-                    if (aki == 0.0) continue;
-                    const double* brow = b.row_data(k);
-                    for (size_t j = 0; j < b.cols(); ++j) crow[j] += aki * brow[j];
-                  }
-                }
-              });
-  RLL_DCHECK_FINITE(out);
-  return out;
-}
-
-Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
-  RLL_CHECK_EQ(a.cols(), b.cols());
-  Matrix out(a.rows(), b.rows());
-  ParallelFor(0, a.rows(), GemmRowGrain(a.rows(), b.rows() * a.cols()),
-              [&](size_t row_begin, size_t row_end) {
-                for (size_t i = row_begin; i < row_end; ++i) {
-                  const double* arow = a.row_data(i);
-                  double* crow = out.row_data(i);
-                  for (size_t j = 0; j < b.rows(); ++j) {
-                    const double* brow = b.row_data(j);
-                    double acc = 0.0;
-                    for (size_t k = 0; k < a.cols(); ++k) acc += arow[k] * brow[k];
-                    crow[j] = acc;
-                  }
-                }
-              });
-  RLL_DCHECK_FINITE(out);
-  return out;
 }
 
 Matrix Transpose(const Matrix& a) {

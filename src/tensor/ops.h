@@ -18,19 +18,19 @@
 
 namespace rll {
 
-/// C = A·B. Requires a.cols() == b.rows().
+/// out = op(A)·op(B), where op(X) is Xᵀ when its flag is set and X
+/// otherwise. `out` is reshaped to the product's shape, keeping its
+/// capacity, so a steady-state loop that reuses one buffer stops
+/// allocating once it has seen its largest shape (Bᵀ is staged in a
+/// grow-only per-thread buffer; A and Aᵀ are read in place).
+/// `out` must be neither `a` nor `b` (checked). Every element is summed as
+/// ((0 + a₀b₀) + a₁b₁) + … over k ascending, one multiply and one add per
+/// term, so results are bitwise identical at any thread count.
+void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
+          Matrix& out);
+
+/// C = A·B, value-returning wrapper over Gemm.
 Matrix Matmul(const Matrix& a, const Matrix& b);
-
-/// C = Aᵀ·B without materializing the transpose.
-Matrix MatmulTransposeA(const Matrix& a, const Matrix& b);
-
-/// C = A·Bᵀ without materializing the transpose.
-Matrix MatmulTransposeB(const Matrix& a, const Matrix& b);
-
-/// out = A·B into a caller-provided matrix (reshaped when needed), so
-/// steady-state loops reuse one buffer instead of allocating per call.
-/// `out` must not alias a or b.
-void MulInto(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// Adds a 1×cols row vector to every row of `m`, in place.
 void AddRowBroadcastInPlace(Matrix& m, const Matrix& row);

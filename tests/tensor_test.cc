@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/rng.h"
@@ -108,9 +109,15 @@ TEST(OpsTest, TransposedMatmulsAgreeWithExplicitTranspose) {
   Rng rng(2);
   Matrix a = RandomNormal(3, 5, &rng);
   Matrix b = RandomNormal(3, 4, &rng);
-  EXPECT_TRUE(MatmulTransposeA(a, b).AllClose(Matmul(Transpose(a), b)));
+  Matrix out;
+  Gemm(a, true, b, false, out);
+  EXPECT_EQ(out, Matmul(Transpose(a), b));
   Matrix c = RandomNormal(4, 5, &rng);
-  EXPECT_TRUE(MatmulTransposeB(a, c).AllClose(Matmul(a, Transpose(c))));
+  Gemm(a, false, c, true, out);
+  EXPECT_EQ(out, Matmul(a, Transpose(c)));
+  Matrix d = RandomNormal(4, 3, &rng);
+  Gemm(a, true, d, true, out);
+  EXPECT_EQ(out, Matmul(Transpose(a), Transpose(d)));
 }
 
 TEST(OpsTest, IntoVariantsMatchAllocatingOps) {
@@ -118,7 +125,7 @@ TEST(OpsTest, IntoVariantsMatchAllocatingOps) {
   Matrix a = RandomNormal(6, 5, &rng);
   Matrix b = RandomNormal(5, 7, &rng);
   Matrix out;
-  MulInto(a, b, out);
+  Gemm(a, false, b, false, out);
   EXPECT_EQ(out, Matmul(a, b));
 }
 
@@ -126,8 +133,87 @@ TEST(OpsTest, MulIntoReshapesStaleOutput) {
   Matrix a = {{1, 2}, {3, 4}};
   Matrix b = {{5, 6}, {7, 8}};
   Matrix out(9, 3, 1.0);  // Wrong shape and stale values.
-  MulInto(a, b, out);
+  Gemm(a, false, b, false, out);
   EXPECT_EQ(out, Matrix({{19, 22}, {43, 50}}));
+  // An empty inner dimension still overwrites every stale element.
+  Gemm(Matrix(3, 0), false, Matrix(0, 4), false, out);
+  EXPECT_EQ(out, Matrix(3, 4));
+}
+
+// The product as the scalar kernels always summed it: each element from
+// +0 over k ascending, one multiply and one add per term (this file builds
+// with -ffp-contract=off, like the kernel). `skip_zero` drops exact-zero
+// a terms, as the scalar A·B and Aᵀ·B loops did; for finite inputs that
+// cannot change a sum, since an accumulator that starts at +0 never
+// becomes -0.
+Matrix NaiveGemm(const Matrix& a, bool trans_a, const Matrix& b,
+                 bool trans_b, bool skip_zero) {
+  const size_t m = trans_a ? a.cols() : a.rows();
+  const size_t k = trans_a ? a.rows() : a.cols();
+  const size_t n = trans_b ? b.rows() : b.cols();
+  Matrix c(m, n);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (size_t p = 0; p < k; ++p) {
+        const double x = trans_a ? a(p, i) : a(i, p);
+        if (skip_zero && x == 0.0) continue;
+        acc += x * (trans_b ? b(j, p) : b(p, j));
+      }
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+bool SameBits(const Matrix& x, const Matrix& y) {
+  return x.SameShape(y) &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+TEST(OpsTest, GemmMatchesNaiveLoopBitwise) {
+  // Every tile/tail split: below, at and past the 4-row by 8-column tile.
+  const size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 65};
+  Rng rng(4);
+  Matrix out;
+  for (const bool trans_a : {false, true}) {
+    for (const bool trans_b : {false, true}) {
+      for (const size_t m : kSizes) {
+        for (const size_t n : kSizes) {
+          for (const size_t k : kSizes) {
+            Matrix a = trans_a ? RandomNormal(k, m, &rng)
+                               : RandomNormal(m, k, &rng);
+            // Exact zeros of both signs, including a whole signed-zero
+            // row of op(A) whose products sum to zero exactly.
+            for (size_t e = 0; e < a.size(); e += 3) a[e] = 0.0;
+            for (size_t e = 1; e < a.size(); e += 5) a[e] = -0.0;
+            for (size_t p = 0; p < k; ++p) {
+              (trans_a ? a(p, m - 1) : a(m - 1, p)) = p % 2 ? -0.0 : 0.0;
+            }
+            const Matrix b = trans_b ? RandomNormal(n, k, &rng)
+                                     : RandomNormal(k, n, &rng);
+            Gemm(a, trans_a, b, trans_b, out);
+            ASSERT_TRUE(SameBits(out, NaiveGemm(a, trans_a, b, trans_b,
+                                                /*skip_zero=*/false)))
+                << "trans_a=" << trans_a << " trans_b=" << trans_b
+                << " m=" << m << " n=" << n << " k=" << k;
+            ASSERT_TRUE(SameBits(out, NaiveGemm(a, trans_a, b, trans_b,
+                                                /*skip_zero=*/true)))
+                << "trans_a=" << trans_a << " trans_b=" << trans_b
+                << " m=" << m << " n=" << n << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OpsDeathTest, GemmRejectsAnOutputThatAliasesAnInput) {
+  // Writing the output would clobber the operand before its last read.
+  Matrix a = {{1, 2}, {3, 4}};
+  Matrix b = {{5, 6}, {7, 8}};
+  EXPECT_DEATH(Gemm(a, false, b, false, a), "Gemm output aliases a");
+  EXPECT_DEATH(Gemm(a, false, b, false, b), "Gemm output aliases b");
 }
 
 TEST(OpsTest, AddRowBroadcastInPlaceMatchesAllocatingOp) {

@@ -225,20 +225,35 @@ TEST(ParallelReduceTest, EmptyRangeReturnsIdentity) {
 TEST(KernelDeterminismTest, MatmulBitwiseIdenticalAcrossThreadCounts) {
   GlobalThreadsGuard guard;
   Rng rng(7);
-  // Big enough to clear the serial-fallback thresholds in tensor/ops.cc.
+  // Big enough to clear the serial-fallback thresholds in tensor/ops.cc;
+  // 97 rows and 61 columns leave row and column tails past the kernel's
+  // 4x8 tiles.
   Matrix a = RandomNormal(97, 83, &rng);
   Matrix b = RandomNormal(83, 61, &rng);
+  const Matrix at = Transpose(a);
+  const Matrix bt = Transpose(b);
+  const auto gemm = [](const Matrix& x, bool trans_x, const Matrix& y,
+                       bool trans_y) {
+    Matrix out;
+    Gemm(x, trans_x, y, trans_y, out);
+    return out;
+  };
 
   SetGlobalThreads(1);
   const Matrix serial = Matmul(a, b);
-  const Matrix serial_ta = MatmulTransposeA(Transpose(a), b);
+  const Matrix serial_ta = gemm(at, true, b, false);
+  const Matrix serial_tb = gemm(a, false, bt, true);
   const Matrix serial_sm = SoftmaxRows(serial);
   const double serial_sum = Sum(serial);
+  // Same products, same summation order: the transposed reads agree too.
+  EXPECT_EQ(serial_ta, serial);
+  EXPECT_EQ(serial_tb, serial);
 
   for (size_t threads : {2u, 4u}) {
     SetGlobalThreads(threads);
     const Matrix parallel = Matmul(a, b);
-    const Matrix parallel_ta = MatmulTransposeA(Transpose(a), b);
+    const Matrix parallel_ta = gemm(at, true, b, false);
+    const Matrix parallel_tb = gemm(a, false, bt, true);
     const Matrix parallel_sm = SoftmaxRows(parallel);
     const double parallel_sum = Sum(parallel);
     ASSERT_EQ(parallel.rows(), serial.rows());
@@ -246,6 +261,7 @@ TEST(KernelDeterminismTest, MatmulBitwiseIdenticalAcrossThreadCounts) {
       for (size_t j = 0; j < serial.cols(); ++j) {
         ASSERT_EQ(parallel(i, j), serial(i, j)) << "threads=" << threads;
         ASSERT_EQ(parallel_ta(i, j), serial_ta(i, j)) << "threads=" << threads;
+        ASSERT_EQ(parallel_tb(i, j), serial_tb(i, j)) << "threads=" << threads;
         ASSERT_EQ(parallel_sm(i, j), serial_sm(i, j)) << "threads=" << threads;
       }
     }
