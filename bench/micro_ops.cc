@@ -112,6 +112,27 @@ BENCHMARK_CAPTURE(BM_Gemm, serve16_l2, 16, 64, 32, false, false);
 BENCHMARK_CAPTURE(BM_Gemm, square64, 64, 64, 64, false, false);
 BENCHMARK_CAPTURE(BM_Gemm, square256, 256, 256, 256, false, false);
 
+// The tanh kernel over 4096 elements in place; time_per_elem is the time
+// per element (seconds in the JSON output). The kernel evaluates both of
+// its branches on every lane, so applying it again to its own (shrinking)
+// output times the same work as fresh input. Expected allocs_per_op: 0.
+void BM_Tanh(benchmark::State& state) {
+  constexpr size_t kElems = 4096;
+  Rng rng(4);
+  Matrix m = RandomNormal(kElems, 1, &rng, 0.0, 2.0);
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    TanhInPlace(m);
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
+  }
+  allocs.Done();
+  state.counters["time_per_elem"] = benchmark::Counter(
+      static_cast<double>(kElems) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Tanh);
+
 void BM_RowCosine(benchmark::State& state) {
   Rng rng(2);
   Matrix a = RandomNormal(256, 32, &rng);

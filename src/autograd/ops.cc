@@ -158,7 +158,8 @@ Var BroadcastCol(const Var& col, size_t cols) {
 }
 
 Var Tanh(const Var& a) {
-  Matrix value = Map(a->value, [](double x) { return std::tanh(x); });
+  Matrix value = a->value;
+  TanhInPlace(value);
   return MakeOp(std::move(value), {a}, [](Node* n) {
     Matrix g(n->grad.rows(), n->grad.cols());
     for (size_t i = 0; i < g.size(); ++i) {

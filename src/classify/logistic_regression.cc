@@ -16,6 +16,42 @@ double StableSigmoid(double x) {
   return e / (1.0 + e);
 }
 
+// Adds the loss gradient of rows [i, i + R) to grad_w and grad_b. The R
+// z sums are independent add chains, so R > 1 keeps the adder busy, and
+// each gradient element still takes its rows' terms in row order: every R
+// gives the bits of the one-row loop.
+template <size_t R>
+void AddRowGradients(const Matrix& x, size_t i, const Matrix& weights,
+                     double bias, const std::vector<double>& targets,
+                     const std::vector<double>& w, double wsum,
+                     Matrix& grad_w, double& grad_b) {
+  const double* row[R];
+  double z[R];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+    row[r] = x.row_data(i + r);
+    z[r] = bias;
+  }
+  for (size_t j = 0; j < x.cols(); ++j) {
+    const double wj = weights[j];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) z[r] += row[r][j] * wj;
+  }
+  double err[R];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+    err[r] = (StableSigmoid(z[r]) - targets[i + r]) * w[i + r] / wsum;
+  }
+  for (size_t j = 0; j < x.cols(); ++j) {
+    double g = grad_w[j];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) g += err[r] * row[r][j];
+    grad_w[j] = g;
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) grad_b += err[r];
+}
+
 }  // namespace
 
 Status LogisticRegression::Fit(const Matrix& x,
@@ -56,20 +92,22 @@ Status LogisticRegression::Fit(const Matrix& x,
   bias_ = 0.0;
   Matrix vel_w(dim, 1);
   double vel_b = 0.0;
+  Matrix grad_w(dim, 1);
 
   int epochs_run = 0;
   for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
     epochs_run = epoch + 1;
     // Gradient of the weighted mean cross-entropy + L2.
-    Matrix grad_w(dim, 1);
+    grad_w.Fill(0.0);
     double grad_b = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = x.row_data(i);
-      double z = bias_;
-      for (size_t j = 0; j < dim; ++j) z += row[j] * weights_(j, 0);
-      const double err = (StableSigmoid(z) - targets[i]) * w[i] / wsum;
-      for (size_t j = 0; j < dim; ++j) grad_w(j, 0) += err * row[j];
-      grad_b += err;
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      AddRowGradients<4>(x, i, weights_, bias_, targets, w, wsum, grad_w,
+                         grad_b);
+    }
+    for (; i < n; ++i) {
+      AddRowGradients<1>(x, i, weights_, bias_, targets, w, wsum, grad_w,
+                         grad_b);
     }
     double max_grad = std::fabs(grad_b);
     for (size_t j = 0; j < dim; ++j) {

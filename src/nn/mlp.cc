@@ -11,15 +11,15 @@ namespace rll::nn {
 
 namespace {
 
-// In-place twin of Activate for the graph-free Embed path. The scalar
-// formulas mirror the autograd ops exactly so Embed stays bitwise equal to
-// Forward(Constant(x))->value.
+// In-place twin of Activate for the graph-free Embed path. Tanh is the
+// kernel ag::Tanh calls and the scalar formulas mirror the other autograd
+// ops exactly, so Embed stays bitwise equal to Forward(Constant(x))->value.
 void ActivateInPlace(Matrix& m, Activation activation) {
   switch (activation) {
     case Activation::kNone:
       return;
     case Activation::kTanh:
-      for (size_t i = 0; i < m.size(); ++i) m[i] = std::tanh(m[i]);
+      TanhInPlace(m);
       return;
     case Activation::kRelu:
       for (size_t i = 0; i < m.size(); ++i) m[i] = m[i] > 0.0 ? m[i] : 0.0;

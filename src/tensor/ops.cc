@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -107,6 +108,64 @@ void GemmRows(const GemmOperands& g, size_t i) {
   for (; j + 8 <= g.n; j += 8) GemmTile<Vec2, MR, 4>(g, i, j);
   for (; j + 2 <= g.n; j += 2) GemmTile<Vec2, MR, 1>(g, i, j);
   if (j < g.n) GemmTile<double, MR, 1>(g, i, j);
+}
+
+// Tanh kernel: two lanes of the same Vec2, IEEE +, −, ×, ÷ and bit
+// operations only, each rounded on its own (-ffp-contract=off), so a
+// lane's result depends on its input's bits and nothing else. Both
+// branches run on every lane of a = |x| and a mask picks one:
+//   a < 0.625  a + a·s·P(s)/Q(s), s = a²: the Cephes tanh rational.
+//   otherwise  1 − 2/(e^{2a} + 1), a clamped at 22 (tanh rounds to 1
+//              from about 19.1 on). e^{2a} = 2ⁿ·e^g by Cody–Waite
+//              reduction, g = 2a − n·ln2 with ln2 split in two so n·C1
+//              is exact, and e^g by the Cephes Padé form
+//              (Q(g²) + g·P(g²)) / (Q(g²) − g·P(g²)), whose division is
+//              folded into the final one.
+// The sign bit is OR-ed back last, so tanh(−x) is −tanh(x) bit for bit,
+// and a NaN lane returns its input.
+using Bits2 = uint64_t __attribute__((vector_size(16)));
+
+Vec2 Blend(Bits2 mask, Vec2 if_set, Vec2 if_clear) {
+  return (Vec2)((mask & (Bits2)if_set) | (~mask & (Bits2)if_clear));
+}
+
+// Inlined into both call sites, so the loop keeps the constants in
+// registers instead of rebuilding them for every pair.
+[[gnu::always_inline]] inline Vec2 Tanh2(Vec2 x) {
+  const Bits2 sign_bit = {1ull << 63, 1ull << 63};
+  const Vec2 clamp = {22.0, 22.0};
+  Vec2 a = (Vec2)((Bits2)x & ~sign_bit);
+  a = Blend((Bits2)(a > clamp), clamp, a);
+
+  const Vec2 s = a * a;
+  Vec2 p = s * -9.64399179425052238628e-1 + -9.92877231001918586564e1;
+  p = p * s + -1.61468768441708447952e3;
+  Vec2 q = s + 1.12811678491632931402e2;
+  q = q * s + 2.23548839060100448583e3;
+  q = q * s + 4.84406305325125486048e3;
+  const Vec2 small = a + a * s * (p / q);
+
+  // Adding 1.5·2⁵² rounds 2a·log₂e to the integer n and leaves n in the
+  // low bits of the sum; (n + 1023) << 52 is then the double 2ⁿ.
+  const Vec2 shift = {0x1.8p52, 0x1.8p52};
+  const Vec2 y = a + a;
+  const Vec2 t = y * 1.4426950408889634073599 + shift;
+  const Vec2 n = t - shift;
+  const Vec2 g =
+      (y - n * 6.93145751953125e-1) - n * 1.42860682030941723212e-6;
+  const Vec2 gg = g * g;
+  Vec2 ep = gg * 1.26177193074810590878e-4 + 3.02994407707441961300e-2;
+  ep = g * (ep * gg + 9.99999999999999999910e-1);
+  Vec2 eq = gg * 3.00198505138664455042e-6 + 2.52448340349684104192e-3;
+  eq = eq * gg + 2.27265548208155028766e-1;
+  eq = eq * gg + 2.00000000000000000009e0;
+  const Vec2 pow2n = (Vec2)(((Bits2)t - (Bits2)shift + 1023) << 52);
+  const Vec2 den = eq - ep;  // e^{2a} = pow2n·(eq + ep)/den
+  const Vec2 large = 1.0 - (den + den) / ((eq + ep) * pow2n + den);
+
+  const Vec2 cutover = {0.625, 0.625};
+  const Vec2 r = Blend((Bits2)(a < cutover), small, large);
+  return Blend((Bits2)(x != x), x, (Vec2)((Bits2)r | ((Bits2)x & sign_bit)));
 }
 
 }  // namespace
@@ -249,6 +308,21 @@ Matrix Map(const Matrix& a, const std::function<double(double)>& f) {
     for (size_t i = lo; i < hi; ++i) c[i] = f(a[i]);
   });
   return c;
+}
+
+void TanhInPlace(Matrix& m) {
+  double* d = m.data();
+  ParallelFor(0, m.size(), ElemGrain(m.size()), [&](size_t lo, size_t hi) {
+    size_t i = lo;
+    for (; i + 2 <= hi; i += 2) {
+      Vec2 v;
+      std::memcpy(&v, d + i, sizeof(v));
+      v = Tanh2(v);
+      std::memcpy(d + i, &v, sizeof(v));
+    }
+    // An odd tail takes the same two-lane path with a padded lane.
+    if (i < hi) d[i] = Tanh2(Vec2{d[i], 0.0})[0];
+  });
 }
 
 double Sum(const Matrix& a) {

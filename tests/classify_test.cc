@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "classify/logistic_regression.h"
 #include "classify/metrics.h"
@@ -186,6 +188,119 @@ TEST(LogisticRegressionTest, HandlesClassImbalanceGracefully) {
   LogisticRegression lr;
   ASSERT_TRUE(lr.Fit(x, labels).ok());
   EXPECT_GT(Evaluate(labels, lr.Predict(x)).accuracy, 0.9);
+}
+
+// LogisticRegression::Fit's training loop as it stood when it took one row
+// per pass, copied verbatim: the bitwise reference for the four-row loop.
+class OneRowLoopFit {
+ public:
+  explicit OneRowLoopFit(LogisticRegressionOptions options)
+      : options_(options) {}
+
+  // Returns the number of epochs run.
+  int Fit(const Matrix& x, const std::vector<double>& targets,
+          const std::vector<double>& w) {
+    const size_t n = x.rows();
+    const size_t dim = x.cols();
+    double wsum = 0.0;
+    for (double v : w) wsum += v;
+    weights_ = Matrix(dim, 1);
+    bias_ = 0.0;
+    Matrix vel_w(dim, 1);
+    double vel_b = 0.0;
+
+    int epochs_run = 0;
+    for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
+      epochs_run = epoch + 1;
+      // Gradient of the weighted mean cross-entropy + L2.
+      Matrix grad_w(dim, 1);
+      double grad_b = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        const double* row = x.row_data(i);
+        double z = bias_;
+        for (size_t j = 0; j < dim; ++j) z += row[j] * weights_(j, 0);
+        const double err = (StableSigmoid(z) - targets[i]) * w[i] / wsum;
+        for (size_t j = 0; j < dim; ++j) grad_w(j, 0) += err * row[j];
+        grad_b += err;
+      }
+      double max_grad = std::fabs(grad_b);
+      for (size_t j = 0; j < dim; ++j) {
+        grad_w(j, 0) += options_.l2 * weights_(j, 0);
+        max_grad = std::max(max_grad, std::fabs(grad_w(j, 0)));
+      }
+      for (size_t j = 0; j < dim; ++j) {
+        vel_w(j, 0) = options_.momentum * vel_w(j, 0) - options_.learning_rate * grad_w(j, 0);
+        weights_(j, 0) += vel_w(j, 0);
+      }
+      vel_b = options_.momentum * vel_b - options_.learning_rate * grad_b;
+      bias_ += vel_b;
+      if (max_grad < options_.tolerance) break;
+    }
+    return epochs_run;
+  }
+
+  const Matrix& weights() const { return weights_; }
+  double bias() const { return bias_; }
+
+ private:
+  static double StableSigmoid(double x) {
+    if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
+    const double e = std::exp(x);
+    return e / (1.0 + e);
+  }
+
+  LogisticRegressionOptions options_;
+  Matrix weights_;
+  double bias_ = 0.0;
+};
+
+TEST(LogisticRegressionTest, FitMatchesParentLoopBitwise) {
+  // Every tail length of the four-row pass, at the paper's 32-dim
+  // embeddings and at an odd width; hard and soft targets, with and
+  // without sample weights; and a loose tolerance that stops the fit early.
+  Rng rng(9);
+  const auto check = [&](size_t n, size_t dim, bool soft, bool weighted,
+                         const LogisticRegressionOptions& options) -> int {
+    const Matrix x = RandomNormal(n, dim, &rng);
+    std::vector<double> targets(n);
+    std::vector<double> w(n, 1.0);
+    for (size_t i = 0; i < n; ++i) {
+      const double p = 1.0 / (1.0 + std::exp(-2.0 * x(i, 0)));
+      targets[i] = soft ? p : static_cast<double>(rng.Bernoulli(p));
+      if (weighted) w[i] = rng.Uniform(0.1, 2.0);
+    }
+    OneRowLoopFit reference(options);
+    const int epochs = reference.Fit(x, targets, w);
+    LogisticRegression lr(options);
+    EXPECT_TRUE(lr.Fit(x, targets, weighted ? w : std::vector<double>{}).ok());
+    if (!lr.weights().SameShape(reference.weights())) {
+      ADD_FAILURE() << "n=" << n << " dim=" << dim << ": weight shape";
+      return epochs;
+    }
+    EXPECT_EQ(std::memcmp(lr.weights().data(), reference.weights().data(),
+                          dim * sizeof(double)),
+              0)
+        << "n=" << n << " dim=" << dim << " soft=" << soft
+        << " weighted=" << weighted;
+    const double bias = lr.bias();
+    const double reference_bias = reference.bias();
+    EXPECT_EQ(std::memcmp(&bias, &reference_bias, sizeof(double)), 0)
+        << "n=" << n << " dim=" << dim;
+    return epochs;
+  };
+  const LogisticRegressionOptions defaults;
+  for (const size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 704u, 705u}) {
+    for (const size_t dim : {3u, 32u}) {
+      check(n, dim, /*soft=*/false, /*weighted=*/false, defaults);
+      check(n, dim, /*soft=*/true, /*weighted=*/true, defaults);
+    }
+  }
+  LogisticRegressionOptions loose;
+  loose.tolerance = 1e-2;
+  for (const size_t n : {703u, 705u}) {
+    EXPECT_LT(check(n, 32, /*soft=*/false, /*weighted=*/true, loose),
+              loose.max_epochs);
+  }
 }
 
 // -------------------------------------------------------------------- PCA

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
@@ -97,6 +98,35 @@ TEST(MlpTest, GradCheckTwoLayerTanh) {
     return ag::Mean(ag::Square(mlp.Forward(ag::Constant(x))));
   });
   EXPECT_LT(r.max_relative_error, 1e-5);
+}
+
+TEST(MlpTest, EmbedMatchesGraphForwardBitwise) {
+  // Embed and EmbedInto run the graph-free activations, Forward the
+  // autograd ops; 1 and 3 rows of the odd widths below leave odd element
+  // counts for the two-lane tanh kernel.
+  for (const Activation activation :
+       {Activation::kNone, Activation::kTanh, Activation::kRelu,
+        Activation::kSigmoid}) {
+    Rng rng(21);
+    Mlp mlp({.dims = {5, 7, 3},
+             .hidden_activation = activation,
+             .output_activation = activation},
+            &rng);
+    Workspace ws;
+    for (const size_t rows : {1u, 3u, 16u, 17u}) {
+      const Matrix x = RandomNormal(rows, 5, &rng, 0.0, 2.0);
+      const Matrix graph = mlp.Forward(ag::Constant(x))->value;
+      const Matrix embed = mlp.Embed(x);
+      const Matrix& into = mlp.EmbedInto(x, ws);
+      ASSERT_TRUE(embed.SameShape(graph));
+      ASSERT_TRUE(into.SameShape(graph));
+      const size_t bytes = graph.size() * sizeof(double);
+      EXPECT_EQ(std::memcmp(embed.data(), graph.data(), bytes), 0)
+          << ActivationName(activation) << " rows=" << rows;
+      EXPECT_EQ(std::memcmp(into.data(), graph.data(), bytes), 0)
+          << ActivationName(activation) << " rows=" << rows;
+    }
+  }
 }
 
 TEST(MlpTest, IdentityActivationIsAffine) {

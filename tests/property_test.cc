@@ -49,7 +49,9 @@ TEST_P(ConfidencePropertyTest, BayesianBoundedAndMonotone) {
   for (int votes = 0; votes <= d; ++votes) {
     EXPECT_GT(p[votes], 0.0);
     EXPECT_LT(p[votes], 1.0);
-    if (votes > 0) EXPECT_GT(p[votes], p[votes - 1]);
+    if (votes > 0) {
+      EXPECT_GT(p[votes], p[votes - 1]);
+    }
   }
 }
 

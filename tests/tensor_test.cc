@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 
 #include "common/rng.h"
+#include "common/threading.h"
 #include "tensor/init.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -311,6 +314,128 @@ TEST(OpsTest, MapAppliesFunction) {
   Matrix a = {{1, 4}};
   Matrix b = Map(a, [](double x) { return x * x; });
   EXPECT_EQ(b, Matrix({{1, 16}}));
+}
+
+// ------------------------------------------------------------------ Tanh
+// tests/CMakeLists.txt runs TanhTest.* a second time with glibc's FMA and
+// AVX2 code paths switched off, which changes the bits std::tanh returns.
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+double TanhOf(double x) {
+  Matrix m(1, 1, x);
+  TanhInPlace(m);
+  return m[0];
+}
+
+// Number of doubles from a to b, for finite values of either sign.
+uint64_t UlpDistance(double a, double b) {
+  const auto ordered = [](double x) {
+    const int64_t bits = std::bit_cast<int64_t>(x);
+    return bits < 0 ? INT64_MIN - bits : bits;
+  };
+  const int64_t oa = ordered(a);
+  const int64_t ob = ordered(b);
+  return oa > ob ? static_cast<uint64_t>(oa - ob)
+                 : static_cast<uint64_t>(ob - oa);
+}
+
+TEST(TanhTest, PinnedOutputs) {
+  struct Pin {
+    double x;
+    double tanh;
+  };
+  const Pin kPins[] = {
+      {0.0, 0.0},
+      {-0.0, -0.0},
+      {0x1p-60, 0x1p-60},
+      {-0x1p-1074, -0x1p-1074},
+      // Both neighbours of the branch cutover and the cutover itself.
+      {0x1.3ffffffffffffp-1, 0x1.1bf47eabb8f94p-1},
+      {0x1.4p-1, 0x1.1bf47eabb8f95p-1},
+      {0x1.4000000000001p-1, 0x1.1bf47eabb8f96p-1},
+      {1.0, 0x1.85efab514f394p-1},
+      {-3.0, -0x1.fd77d111a0bp-1},
+      // 19.1 is past where tanh rounds to 1; 22 is the clamp.
+      {19.1, 1.0},
+      {22.0, 1.0},
+      {-1e308, -1.0},
+      {INFINITY, 1.0},
+      {-INFINITY, -1.0},
+      // glibc 2.36 returns -0x1.7728b5a513e21p-3 here through its FMA
+      // build of expm1 and -0x1.7728b5a513e1fp-3 without it, so a kernel
+      // that went back through libm fails this pin.
+      {-0x1.7b711e9675p-3, -0x1.7728b5a513e2p-3},
+  };
+  for (const Pin& pin : kPins) {
+    EXPECT_EQ(Bits(TanhOf(pin.x)), Bits(pin.tanh))
+        << std::hexfloat << pin.x << " -> " << TanhOf(pin.x);
+  }
+  // A NaN comes back unchanged, sign and payload included.
+  for (const uint64_t nan :
+       {0x7ff8000000000000ull, 0xfff8000000000000ull, 0x7ff8000000000123ull}) {
+    EXPECT_EQ(Bits(TanhOf(std::bit_cast<double>(nan))), nan);
+  }
+}
+
+TEST(TanhTest, WithinTwoUlpOfLibmAndOdd) {
+  // 2^19 inputs from each of U(-25, 25), N(0, 1) and ±2^U(-60, 6).
+  constexpr size_t kEach = size_t{1} << 19;
+  Rng rng(11);
+  Matrix x(3 * kEach, 1);
+  for (size_t i = 0; i < kEach; ++i) {
+    x[i] = rng.Uniform(-25.0, 25.0);
+    x[kEach + i] = rng.Normal();
+    const double magnitude = std::exp2(rng.Uniform(-60.0, 6.0));
+    x[2 * kEach + i] = rng.Bernoulli(0.5) ? magnitude : -magnitude;
+  }
+  Matrix y = x;
+  TanhInPlace(y);
+  Matrix neg = Scale(x, -1.0);
+  TanhInPlace(neg);
+  for (size_t i = 0; i < x.size(); ++i) {
+    ASSERT_LE(UlpDistance(y[i], std::tanh(x[i])), 2u)
+        << std::hexfloat << x[i] << " -> " << y[i];
+    ASSERT_EQ(Bits(neg[i]), Bits(-y[i])) << std::hexfloat << x[i];
+  }
+}
+
+TEST(TanhTest, SameBitsAtEveryOffset) {
+  // Pairs of lanes and a padded odd tail: a result must not depend on
+  // its position or on its neighbours, NaN and infinity included.
+  Rng rng(12);
+  for (const double probe : {-0x1.7b711e9675p-3, 0x1.4p-1, -0.7, 3.0, 1e-5,
+                             -0.0, 30.0}) {
+    const uint64_t want = Bits(TanhOf(probe));
+    for (size_t len = 1; len <= 17; ++len) {
+      for (size_t at = 0; at < len; ++at) {
+        Matrix m = RandomNormal(1, len, &rng, 0.0, 3.0);
+        m[(at + 1) % len] = std::nan("");
+        m[(at + len - 1) % len] = -INFINITY;
+        m[at] = probe;
+        TanhInPlace(m);
+        ASSERT_EQ(Bits(m[at]), want)
+            << std::hexfloat << probe << " len=" << len << " at=" << at;
+      }
+    }
+  }
+}
+
+TEST(TanhTest, IdenticalAtOneTwoAndFourThreads) {
+  // 33,123 elements: past the elementwise serial threshold (2^15), so the
+  // pool splits them into chunks, the last of odd length.
+  Rng rng(13);
+  const Matrix x = RandomNormal(181, 183, &rng, 0.0, 3.0);
+  SetGlobalThreads(1);
+  Matrix serial = x;
+  TanhInPlace(serial);
+  for (const size_t threads : {2u, 4u}) {
+    SetGlobalThreads(threads);
+    Matrix parallel = x;
+    TanhInPlace(parallel);
+    EXPECT_TRUE(SameBits(parallel, serial)) << "threads=" << threads;
+  }
+  SetGlobalThreads(0);
 }
 
 // ------------------------------------------------------ Property sweeps
