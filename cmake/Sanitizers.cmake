@@ -52,9 +52,12 @@ message(STATUS "RLL: sanitizers enabled: ${RLL_SANITIZE}")
 list(APPEND _rll_san_flags -fno-omit-frame-pointer -g)
 
 # UBSan: make alignment/vptr issues fatal rather than printed-and-ignored,
-# so ctest actually fails on a report.
+# so ctest actually fails on a report. GCC's `undefined` group leaves out
+# float-cast-overflow (a double converted to an integer type it does not
+# fit), which untrusted wire numbers can reach, so it is added by name.
 if("undefined" IN_LIST RLL_SANITIZE)
-  list(APPEND _rll_san_flags -fno-sanitize-recover=undefined)
+  list(APPEND _rll_san_flags -fsanitize=float-cast-overflow
+       -fno-sanitize-recover=undefined,float-cast-overflow)
 endif()
 
 add_compile_options(${_rll_san_flags})

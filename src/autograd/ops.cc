@@ -199,19 +199,6 @@ Var Sigmoid(const Var& a) {
   });
 }
 
-Var Log(const Var& a, double eps) {
-  Matrix value =
-      Map(a->value, [eps](double x) { return std::log(std::max(x, eps)); });
-  return MakeOp(std::move(value), {a}, [eps](Node* n) {
-    const Matrix& x = n->parents[0]->value;
-    Matrix g(n->grad.rows(), n->grad.cols());
-    for (size_t i = 0; i < g.size(); ++i) {
-      g[i] = n->grad[i] / std::max(x[i], eps);
-    }
-    n->parents[0]->AccumulateGrad(std::move(g));
-  });
-}
-
 Var Square(const Var& a) {
   Matrix value = Map(a->value, [](double x) { return x * x; });
   return MakeOp(std::move(value), {a}, [](Node* n) {

@@ -38,8 +38,6 @@ Var BroadcastCol(const Var& col, size_t cols);
 Var Tanh(const Var& a);
 Var Relu(const Var& a);
 Var Sigmoid(const Var& a);
-/// log(max(a, eps)) — inputs are clamped for stability.
-Var Log(const Var& a, double eps = 1e-12);
 Var Square(const Var& a);
 /// sqrt(max(a, eps)).
 Var Sqrt(const Var& a, double eps = 1e-12);

@@ -1,72 +1,16 @@
 #include "baselines/method.h"
 
-#include "common/threading.h"
-#include "data/kfold.h"
-#include "data/standardize.h"
-
 namespace rll::baselines {
 
 Result<core::CvOutcome> CrossValidateMethod(const data::Dataset& dataset,
                                             const Method& method,
-                                            size_t folds, Rng* rng,
-                                            bool standardize) {
-  if (!dataset.FullyAnnotated()) {
-    return Status::FailedPrecondition(
-        "dataset must be crowd-annotated before evaluation");
-  }
-  const std::vector<data::Split> splits =
-      data::StratifiedKFold(dataset.true_labels(), folds, rng);
-  // Same fold-dispatch scheme as RunRllCrossValidation: one pool task per
-  // fold, each with a private SplitSeed-derived Rng and its own result
-  // slot, so methods evaluated through either harness agree exactly.
-  const uint64_t base_seed = rng->Next();
-
-  std::vector<Result<classify::EvalMetrics>> fold_results(
-      splits.size(), Status::Internal("fold not run"));
-  ParallelFor(0, splits.size(), 1, [&](size_t lo, size_t hi) {
-    for (size_t fold = lo; fold < hi; ++fold) {
-      const data::Split& split = splits[fold];
-      data::Dataset train = dataset.Subset(split.train);
-      const data::Dataset test = dataset.Subset(split.test);
-
-      Matrix train_features = train.features();
-      Matrix test_features = test.features();
-      if (standardize) {
-        data::Standardizer standardizer;
-        train_features = standardizer.FitTransform(train_features);
-        test_features = standardizer.Transform(test_features);
-      }
-      data::Dataset train_std(std::move(train_features), train.true_labels());
-      for (size_t i = 0; i < train.size(); ++i) {
-        for (const data::Annotation& a : train.annotations(i)) {
-          train_std.AddAnnotation(i, a);
-        }
-      }
-
-      Rng fold_rng(SplitSeed(base_seed, fold));
-      Result<std::vector<int>> predicted =
-          method.TrainAndPredict(train_std, test_features, &fold_rng);
-      if (!predicted.ok()) {
-        fold_results[fold] = predicted.status();
-        continue;
-      }
-      if (predicted->size() != test.size()) {
-        fold_results[fold] = Status::Internal(
-            method.name() + " returned wrong prediction count");
-        continue;
-      }
-      fold_results[fold] = classify::Evaluate(test.true_labels(), *predicted);
-    }
-  });
-
-  core::CvOutcome outcome;
-  for (Result<classify::EvalMetrics>& result : fold_results) {
-    RLL_RETURN_IF_ERROR(result.status());
-    outcome.per_fold.push_back(std::move(*result));
-  }
-  outcome.mean = classify::MeanMetrics(outcome.per_fold);
-  outcome.stddev = classify::StdDevMetrics(outcome.per_fold);
-  return outcome;
+                                            size_t folds, Rng* rng) {
+  return core::CrossValidate(
+      dataset, folds, rng,
+      [&method](const data::Dataset& train, const Matrix& test_features,
+                Rng* fold_rng) {
+        return method.TrainAndPredict(train, test_features, fold_rng);
+      });
 }
 
 }  // namespace rll::baselines

@@ -33,13 +33,11 @@ class Method {
       Rng* rng) const = 0;
 };
 
-/// Stratified k-fold cross-validation of any Method, mirroring the paper's
-/// protocol: standardize per fold on train only, train on crowd labels,
-/// score predictions against expert labels.
+/// core::CrossValidate with `method` as the learner, so every Table I row
+/// is scored under the same protocol as RunRllCrossValidation.
 Result<core::CvOutcome> CrossValidateMethod(const data::Dataset& dataset,
                                             const Method& method,
-                                            size_t folds, Rng* rng,
-                                            bool standardize = true);
+                                            size_t folds, Rng* rng);
 
 }  // namespace rll::baselines
 

@@ -12,9 +12,9 @@
 //                    trainer opens one scope per batch: every autograd
 //                    node, gradient, and tensor temporary built inside it
 //                    lands in the arena and is reclaimed by one Reset().
-//   Workspace      — keyed, shape-checked, reusable buffers for code that
-//                    wants named scratch (Mlp::EmbedInto, the serve
-//                    micro-batcher) rather than a per-iteration scope.
+//   Workspace      — keyed, reusable buffers for code that wants named
+//                    scratch (Mlp::EmbedInto, the serve micro-batcher)
+//                    rather than a per-iteration scope.
 //                    Buffers are deliberately heap-backed (never arena)
 //                    because they outlive any scope.
 //
@@ -219,35 +219,20 @@ struct ArenaStatsSnapshot {
 };
 ArenaStatsSnapshot GlobalArenaStats();
 
-/// Keyed, shape-checked, reusable buffers. `BufferT` is any type with
-/// rows()/cols()/Reshape(rows, cols) — in practice rll::Matrix; the
-/// template keeps this header below tensor/ in the layering DAG. Buffers
-/// are created on first use and reused (capacity and all) thereafter;
-/// they are always heap-backed via ArenaPause, so a workspace is safe to
-/// touch from inside any ArenaScope. A Workspace is single-owner, like
-/// the per-worker instances in src/serve/.
+/// Keyed, reusable buffers. `BufferT` is any type with Reshape(rows, cols)
+/// — in practice rll::Matrix; the template keeps this header below
+/// tensor/ in the layering DAG. Buffers are created on first use and
+/// reused (capacity and all) thereafter; they are always heap-backed via
+/// ArenaPause, so a workspace is safe to touch from inside any
+/// ArenaScope. A Workspace is single-owner, like the per-worker instances
+/// in src/serve/.
 template <typename BufferT>
 class BasicWorkspace {
  public:
-  /// Strict checkout: creates rows×cols on first use; thereafter the
-  /// requested shape must match exactly (RLL_CHECK aborts on mismatch —
-  /// a shape drift under a stable key is a logic bug, not a resize).
-  BufferT& Get(std::string_view key, size_t rows, size_t cols) {
-    ArenaPause pause;
-    BufferT& buffer = Slot(key);
-    if (buffer.rows() == 0 && buffer.cols() == 0) {
-      buffer.Reshape(rows, cols);
-      return buffer;
-    }
-    RLL_CHECK_MSG(buffer.rows() == rows && buffer.cols() == cols,
-                  "Workspace::Get shape mismatch for a keyed buffer — use "
-                  "GetReshaped for buffers whose shape varies");
-    return buffer;
-  }
-
-  /// Flexible checkout for shapes that vary call to call (e.g. the serve
-  /// batcher's stacked matrix, whose row count is the batch size).
-  /// Reshape preserves capacity, so steady-state reuse does not allocate.
+  /// Checks out the buffer under `key` as rows×cols, creating it on first
+  /// use. Shapes may vary call to call (e.g. the serve batcher's stacked
+  /// matrix, whose row count is the batch size); Reshape preserves
+  /// capacity, so steady-state reuse does not allocate.
   BufferT& GetReshaped(std::string_view key, size_t rows, size_t cols) {
     ArenaPause pause;
     BufferT& buffer = Slot(key);

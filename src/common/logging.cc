@@ -1,5 +1,6 @@
 #include "common/logging.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -1,7 +1,6 @@
 // Minimal leveled logger writing to stderr.
 //
 // Usage: RLL_LOG(INFO) << "epoch " << e << " loss " << loss;
-//        RLL_LOG_EVERY_N(Info, 100) << "heartbeat";   // 1st, 101st, ...
 // Benchmarks and examples raise the threshold to keep stdout tables clean.
 //
 // Each line is prefixed "[<ISO-8601 UTC> <LEVEL> t<tid> <file>:<line>]";
@@ -13,7 +12,6 @@
 #ifndef RLL_COMMON_LOGGING_H_
 #define RLL_COMMON_LOGGING_H_
 
-#include <atomic>
 #include <sstream>
 
 namespace rll {
@@ -48,21 +46,5 @@ class LogMessage {
     ::rll::internal::LogMessage(::rll::LogLevel::k##severity,      \
                                 __FILE__, __LINE__)                \
         .stream()
-
-// Logs on the 1st, (n+1)th, (2n+1)th, ... execution of this statement.
-// The call-site counter lives in a lambda-local static so each expansion
-// counts independently; it advances even when the severity is below the
-// threshold, matching the usual every-N semantics. Single statement, safe
-// in unbraced if/else.
-#define RLL_LOG_EVERY_N(severity, n)                                   \
-  if (![]() -> bool {                                                  \
-        static ::std::atomic<unsigned long long> rll_every_count{0};   \
-        return rll_every_count.fetch_add(                              \
-                   1, ::std::memory_order_relaxed) %                   \
-                   static_cast<unsigned long long>(n) ==               \
-               0;                                                      \
-      }()) {                                                           \
-  } else                                                               \
-    RLL_LOG(severity)
 
 #endif  // RLL_COMMON_LOGGING_H_

@@ -78,11 +78,6 @@ class Rng {
   /// streams that must not interact).
   Rng Split();
 
-  /// Derives the base seed for a family of SplitSeed streams, advancing
-  /// this generator once. Sugar for Next() that documents intent at call
-  /// sites handing work to the thread pool.
-  uint64_t SplitSeedBase() { return Next(); }
-
  private:
   uint64_t state_[4];
   bool have_cached_normal_ = false;

@@ -18,8 +18,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kIOError:
       return "IOError";
-    case StatusCode::kNotConverged:
-      return "NotConverged";
   }
   return "Unknown";
 }

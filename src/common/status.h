@@ -22,7 +22,6 @@ enum class StatusCode {
   kFailedPrecondition,
   kInternal,
   kIOError,
-  kNotConverged,
 };
 
 /// Human-readable name for a StatusCode (e.g. "InvalidArgument").
@@ -54,9 +53,6 @@ class Status {
   }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
-  }
-  static Status NotConverged(std::string msg) {
-    return Status(StatusCode::kNotConverged, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -9,8 +9,8 @@
 
 namespace rll {
 
-/// Starts on construction; ElapsedSeconds()/ElapsedMillis()/ElapsedMicros()
-/// read without stopping, Restart() resets the origin.
+/// Starts on construction; ElapsedSeconds()/ElapsedMillis() read without
+/// stopping, Restart() resets the origin.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
@@ -23,8 +23,6 @@ class Stopwatch {
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
@@ -32,12 +30,12 @@ class Stopwatch {
 
 /// Times a scope and reports the elapsed milliseconds to a callback on
 /// destruction — the glue between Stopwatch and any sink (a metrics
-/// histogram via obs::ObserveMillis, a bench table row, a log line):
+/// histogram, a bench table row, a log line):
 ///
 ///   {
-///     ScopedTimer timer(obs::ObserveMillis(histogram));
+///     ScopedTimer timer([h](double ms) { h->Observe(ms); });
 ///     ...work...
-///   }  // histogram->Observe(elapsed_ms)
+///   }  // h->Observe(elapsed_ms)
 class ScopedTimer {
  public:
   explicit ScopedTimer(std::function<void(double elapsed_ms)> on_done)

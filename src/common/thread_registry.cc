@@ -4,21 +4,9 @@
 
 #include <cstring>
 
-#include "common/mutex.h"
-
 namespace rll {
 
 namespace {
-
-struct Registry {
-  Mutex mu;
-  std::vector<std::string> names RLL_GUARDED_BY(mu);
-};
-
-Registry& GlobalRegistry() {
-  static Registry registry;
-  return registry;
-}
 
 std::string& LocalName() {
   thread_local std::string name;
@@ -30,22 +18,13 @@ std::string& LocalName() {
 void SetCurrentThreadName(const std::string& name) {
   LocalName() = name;
   // The kernel caps thread names at 16 bytes including the terminator;
-  // the registry and the thread-local cache keep the full string.
+  // the thread-local cache keeps the full string.
   char truncated[16];
   std::strncpy(truncated, name.c_str(), sizeof(truncated) - 1);
   truncated[sizeof(truncated) - 1] = '\0';
   pthread_setname_np(pthread_self(), truncated);
-  Registry& registry = GlobalRegistry();
-  MutexLock lock(registry.mu);
-  registry.names.push_back(name);
 }
 
 const std::string& CurrentThreadName() { return LocalName(); }
-
-std::vector<std::string> RegisteredThreadNames() {
-  Registry& registry = GlobalRegistry();
-  MutexLock lock(registry.mu);
-  return registry.names;
-}
 
 }  // namespace rll

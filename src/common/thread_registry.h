@@ -1,12 +1,11 @@
-// Process-wide registry of named threads.
+// Thread names.
 //
 // Threads that matter operationally — pool workers, the serve batcher, TCP
 // connection handlers — name themselves at entry with SetCurrentThreadName.
 // The name is cached thread-locally (so readers on the same thread pay one
-// TLS load), recorded in a process-wide registry (so exporters can list
-// every name ever seen), and mirrored into the kernel via
-// pthread_setname_np (so `top -H`, gdb, and perf show the same names the
-// trace viewer and profiler reports do).
+// TLS load) and mirrored into the kernel via pthread_setname_np (so
+// `top -H`, gdb, and perf show the same names the trace viewer and
+// profiler reports do).
 //
 // Lives in rll_common (below obs in the layering DAG) so both the trace
 // exporter and the profiler can stamp thread names without a cycle.
@@ -15,22 +14,16 @@
 #define RLL_COMMON_THREAD_REGISTRY_H_
 
 #include <string>
-#include <vector>
 
 namespace rll {
 
-/// Names the calling thread. The name is stored in the process registry,
-/// cached thread-locally, and pushed to the kernel (truncated to the
-/// 15-character pthread limit; the registry keeps the full string).
-/// Renaming is allowed; the latest name wins for this thread.
+/// Names the calling thread. The name is cached thread-locally and pushed
+/// to the kernel (truncated to the 15-character pthread limit; the cache
+/// keeps the full string). Renaming is allowed; the latest name wins.
 void SetCurrentThreadName(const std::string& name);
 
-/// The calling thread's registered name, "" when it never named itself.
+/// The calling thread's name, "" when it never named itself.
 const std::string& CurrentThreadName();
-
-/// Every name ever registered, in registration order. Names of exited
-/// threads stay listed — this is an audit trail, not a liveness view.
-std::vector<std::string> RegisteredThreadNames();
 
 }  // namespace rll
 

@@ -1,8 +1,5 @@
 #include "core/group_sampler.h"
 
-#include <cmath>
-#include <limits>
-
 #include "common/strings.h"
 #include "obs/metrics.h"
 
@@ -69,16 +66,6 @@ Result<std::vector<Group>> GroupSampler::Sample(size_t count,
                                                 uint64_t seed) const {
   Rng rng(seed);
   return Sample(count, &rng);
-}
-
-double GroupSampler::LogGroupSpace() const {
-  const size_t k = options_.negatives_per_group;
-  if (positives_.size() < 2 || negatives_.size() < k) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  return 2.0 * std::log(static_cast<double>(positives_.size())) +
-         static_cast<double>(k) *
-             std::log(static_cast<double>(negatives_.size()));
 }
 
 }  // namespace rll::core

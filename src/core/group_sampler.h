@@ -45,10 +45,6 @@ class GroupSampler {
   /// shared and results do not depend on task interleaving.
   Result<std::vector<Group>> Sample(size_t count, uint64_t seed) const;
 
-  /// Natural log of the group-space size log(|D⁺|²·|D⁻|ᵏ) (the paper's
-  /// capacity argument); -inf when a group cannot be formed.
-  double LogGroupSpace() const;
-
   size_t num_positives() const { return positives_.size(); }
   size_t num_negatives() const { return negatives_.size(); }
   const GroupSamplerOptions& options() const { return options_; }

@@ -1,5 +1,6 @@
 #include "core/pipeline.h"
 
+#include "common/strings.h"
 #include "common/threading.h"
 #include "data/kfold.h"
 #include "data/standardize.h"
@@ -38,19 +39,19 @@ Result<std::vector<int>> TrainRllAndPredict(const data::Dataset& train,
   return lr.Predict(test_emb);
 }
 
-Result<CvOutcome> RunRllCrossValidation(const data::Dataset& dataset,
-                                        const RllPipelineOptions& options,
-                                        Rng* rng) {
+Result<CvOutcome> CrossValidate(const data::Dataset& dataset, size_t folds,
+                                Rng* rng,
+                                const TrainAndPredictFn& train_and_predict) {
   if (!dataset.FullyAnnotated()) {
     return Status::FailedPrecondition(
         "dataset must be crowd-annotated before evaluation");
   }
   // Stratify on expert labels (fold construction only, never training).
   const std::vector<data::Split> splits =
-      data::StratifiedKFold(dataset.true_labels(), options.folds, rng);
+      data::StratifiedKFold(dataset.true_labels(), folds, rng);
   // Folds run as pool tasks. Each gets a private SplitSeed-derived Rng and
   // writes into its own slot, so metrics are identical at any --threads
-  // value and in the same (fold) order as the historical serial loop.
+  // value and in the same (fold) order as a serial loop.
   const uint64_t base_seed = rng->Next();
 
   RLL_TRACE_SPAN("cross_validation");
@@ -62,17 +63,13 @@ Result<CvOutcome> RunRllCrossValidation(const data::Dataset& dataset,
     for (size_t fold = lo; fold < hi; ++fold) {
       const data::Split& split = splits[fold];
       RLL_TRACE_SPAN_ID("fold", fold);
-      data::Dataset train = dataset.Subset(split.train);
-      data::Dataset test = dataset.Subset(split.test);
+      const data::Dataset train = dataset.Subset(split.train);
+      const data::Dataset test = dataset.Subset(split.test);
 
-      Matrix train_features = train.features();
-      Matrix test_features = test.features();
-      if (options.standardize) {
-        data::Standardizer standardizer;
-        train_features = standardizer.FitTransform(train_features);
-        test_features = standardizer.Transform(test_features);
-      }
-      data::Dataset train_std(train_features, train.true_labels());
+      data::Standardizer standardizer;
+      Matrix train_features = standardizer.FitTransform(train.features());
+      const Matrix test_features = standardizer.Transform(test.features());
+      data::Dataset train_std(std::move(train_features), train.true_labels());
       for (size_t i = 0; i < train.size(); ++i) {
         for (const data::Annotation& a : train.annotations(i)) {
           train_std.AddAnnotation(i, a);
@@ -81,9 +78,15 @@ Result<CvOutcome> RunRllCrossValidation(const data::Dataset& dataset,
 
       Rng fold_rng(SplitSeed(base_seed, fold));
       Result<std::vector<int>> predicted =
-          TrainRllAndPredict(train_std, test_features, options, &fold_rng);
+          train_and_predict(train_std, test_features, &fold_rng);
       if (!predicted.ok()) {
         fold_results[fold] = predicted.status();
+        continue;
+      }
+      if (predicted->size() != test.size()) {
+        fold_results[fold] = Status::Internal(StrFormat(
+            "fold %zu: %zu predicted labels for %zu test examples", fold,
+            predicted->size(), test.size()));
         continue;
       }
       fold_results[fold] = classify::Evaluate(test.true_labels(), *predicted);
@@ -100,6 +103,17 @@ Result<CvOutcome> RunRllCrossValidation(const data::Dataset& dataset,
   outcome.mean = classify::MeanMetrics(outcome.per_fold);
   outcome.stddev = classify::StdDevMetrics(outcome.per_fold);
   return outcome;
+}
+
+Result<CvOutcome> RunRllCrossValidation(const data::Dataset& dataset,
+                                        const RllPipelineOptions& options,
+                                        Rng* rng) {
+  return CrossValidate(
+      dataset, options.folds, rng,
+      [&options](const data::Dataset& train, const Matrix& test_features,
+                 Rng* fold_rng) {
+        return TrainRllAndPredict(train, test_features, options, fold_rng);
+      });
 }
 
 }  // namespace rll::core

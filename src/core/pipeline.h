@@ -7,6 +7,7 @@
 #ifndef RLL_CORE_PIPELINE_H_
 #define RLL_CORE_PIPELINE_H_
 
+#include <functional>
 #include <vector>
 
 #include "classify/logistic_regression.h"
@@ -20,8 +21,6 @@ struct RllPipelineOptions {
   RllTrainerOptions trainer;
   classify::LogisticRegressionOptions classifier;
   size_t folds = 5;
-  /// Fit the standardizer on the training split only.
-  bool standardize = true;
 };
 
 struct CvOutcome {
@@ -30,8 +29,24 @@ struct CvOutcome {
   std::vector<classify::EvalMetrics> per_fold;
 };
 
-/// Runs the full cross-validated RLL pipeline. The dataset must carry crowd
-/// annotations; expert labels are used only for test-fold scoring.
+/// One learner under the protocol: trains on the crowd-annotated `train`
+/// split and returns one 0/1 label per row of `test_features`.
+using TrainAndPredictFn = std::function<Result<std::vector<int>>(
+    const data::Dataset& train, const Matrix& test_features, Rng* rng)>;
+
+/// The paper's protocol around any learner: stratified k-fold on expert
+/// labels; per fold, standardize on the train split only, train on the
+/// crowd labels (with a private SplitSeed-derived Rng), and score the
+/// predictions against expert labels. Folds run as pool tasks, so the
+/// outcome is the same at any --threads value; the first failing fold in
+/// fold order is returned.
+Result<CvOutcome> CrossValidate(const data::Dataset& dataset, size_t folds,
+                                Rng* rng,
+                                const TrainAndPredictFn& train_and_predict);
+
+/// CrossValidate with the RLL pipeline (TrainRllAndPredict) as the learner.
+/// The dataset must carry crowd annotations; expert labels are used only
+/// for test-fold scoring.
 Result<CvOutcome> RunRllCrossValidation(const data::Dataset& dataset,
                                         const RllPipelineOptions& options,
                                         Rng* rng);

@@ -5,10 +5,9 @@
 
 namespace rll::core {
 
-Result<TuningResult> TuneOnHeldOut(
-    const data::Dataset& train, const std::vector<double>& grid,
-    const std::function<void(RllTrainerOptions*, double)>& apply,
-    const TuningOptions& options, Rng* rng) {
+Result<TuningResult> TuneEta(const data::Dataset& train,
+                             const TuningOptions& options, Rng* rng,
+                             const std::vector<double>& grid) {
   if (grid.empty()) return Status::InvalidArgument("empty tuning grid");
   if (!train.FullyAnnotated()) {
     return Status::FailedPrecondition("tuning requires crowd annotations");
@@ -30,7 +29,7 @@ Result<TuningResult> TuneOnHeldOut(
   double best_accuracy = -1.0;
   for (double value : grid) {
     RllPipelineOptions candidate = options.pipeline;
-    apply(&candidate.trainer, value);
+    candidate.trainer.eta = value;
     RLL_ASSIGN_OR_RETURN(
         std::vector<int> predicted,
         TrainRllAndPredict(fit_part, held_out.features(), candidate, rng));
@@ -43,15 +42,6 @@ Result<TuningResult> TuneOnHeldOut(
     }
   }
   return result;
-}
-
-Result<TuningResult> TuneEta(const data::Dataset& train,
-                             const TuningOptions& options, Rng* rng,
-                             std::vector<double> grid) {
-  return TuneOnHeldOut(
-      train, grid,
-      [](RllTrainerOptions* trainer, double eta) { trainer->eta = eta; },
-      options, rng);
 }
 
 }  // namespace rll::core

@@ -1,12 +1,10 @@
 // Held-out hyperparameter selection, as the paper prescribes for η:
 // "a smoothing hyper parameter in the softmax function, which is set
-// empirically on a held-out dataset" (§III-A). Generic over any numeric
-// field of RllTrainerOptions via a setter callback.
+// empirically on a held-out dataset" (§III-A).
 
 #ifndef RLL_CORE_TUNING_H_
 #define RLL_CORE_TUNING_H_
 
-#include <functional>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -23,26 +21,18 @@ struct TuningResult {
 struct TuningOptions {
   /// Fraction of the training data held out for selection.
   double held_out_fraction = 0.25;
-  /// Pipeline configuration used for every candidate (the tuned field is
-  /// overwritten by `apply`).
+  /// Pipeline configuration used for every candidate (its trainer's eta is
+  /// overwritten by each grid value).
   RllPipelineOptions pipeline;
 };
 
-/// Evaluates each grid value on a single held-out split of `train` (crowd
+/// Evaluates each η in `grid` on a single held-out split of `train` (crowd
 /// labels only; expert labels untouched) and returns the value with the
 /// best held-out accuracy against majority-vote labels — tuning never sees
 /// ground truth, matching how the authors could actually have tuned.
-/// `apply(options, value)` writes the candidate into the trainer options.
-Result<TuningResult> TuneOnHeldOut(
-    const data::Dataset& train, const std::vector<double>& grid,
-    const std::function<void(RllTrainerOptions*, double)>& apply,
-    const TuningOptions& options, Rng* rng);
-
-/// Convenience wrapper for the η grid the paper implies.
 Result<TuningResult> TuneEta(const data::Dataset& train,
                              const TuningOptions& options, Rng* rng,
-                             std::vector<double> grid = {1.0, 2.0, 5.0, 10.0,
-                                                         20.0});
+                             const std::vector<double>& grid);
 
 }  // namespace rll::core
 

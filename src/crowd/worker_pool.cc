@@ -1,7 +1,5 @@
 #include "crowd/worker_pool.h"
 
-#include <algorithm>
-
 #include "common/threading.h"
 
 namespace rll::crowd {
@@ -43,18 +41,6 @@ int WorkerPool::Vote(size_t w, int true_label, double difficulty,
   const double p_correct = 0.5 + (ability - 0.5) * (1.0 - difficulty);
   const bool correct = rng->Bernoulli(p_correct);
   return correct ? true_label : 1 - true_label;
-}
-
-void WorkerPool::Drift(double magnitude, Rng* rng) {
-  RLL_CHECK_GE(magnitude, 0.0);
-  auto step = [&](double ability) {
-    return std::min(std::max(ability + rng->Normal(0.0, magnitude), 0.05),
-                    0.99);
-  };
-  for (size_t w = 0; w < num_workers(); ++w) {
-    sensitivity_[w] = step(sensitivity_[w]);
-    specificity_[w] = step(specificity_[w]);
-  }
 }
 
 void WorkerPool::Annotate(data::Dataset* dataset, size_t votes_per_example,

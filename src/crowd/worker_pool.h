@@ -70,11 +70,6 @@ class WorkerPool {
   /// difficulty t ∈ [0,1].
   int Vote(size_t w, int true_label, double difficulty, Rng* rng) const;
 
-  /// Random-walks every worker's sensitivity/specificity by
-  /// N(0, magnitude), clamped to [0.05, 0.99] — models fatigue or learning
-  /// between annotation batches. Call between Annotate rounds.
-  void Drift(double magnitude, Rng* rng);
-
  private:
   WorkerPoolConfig config_;
   std::vector<double> sensitivity_;

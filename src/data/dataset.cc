@@ -80,20 +80,4 @@ Dataset Dataset::Subset(const std::vector<size_t>& indices) const {
   return out;
 }
 
-std::vector<size_t> Dataset::PositiveIndices(const std::vector<int>& labels) {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] == 1) out.push_back(i);
-  }
-  return out;
-}
-
-std::vector<size_t> Dataset::NegativeIndices(const std::vector<int>& labels) {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] != 1) out.push_back(i);
-  }
-  return out;
-}
-
 }  // namespace rll::data

@@ -60,11 +60,6 @@ class Dataset {
   /// New dataset with the selected examples (annotations carried over).
   Dataset Subset(const std::vector<size_t>& indices) const;
 
-  /// Indices where labels[i]==1 / ==0 (caller supplies labels so the split
-  /// can be based on inferred rather than expert labels).
-  static std::vector<size_t> PositiveIndices(const std::vector<int>& labels);
-  static std::vector<size_t> NegativeIndices(const std::vector<int>& labels);
-
  private:
   Matrix features_;
   std::vector<int> true_labels_;

@@ -3,10 +3,12 @@
 // When the build option RLL_COUNT_ALLOCS is ON (the default), the
 // translation unit alloc_count.cc defines replacement global operator
 // new/delete overloads that count every allocation in a relaxed atomic.
-// The accessors below live in the SAME translation unit, so any binary
-// that calls AllocationCount() pulls the overrides out of librll_obs.a
-// and gets process-wide counting; binaries that never ask keep the
-// default allocator untouched.
+// The overrides are not opt-in: because alloc_count.o defines operator
+// new, the linker pulls it out of librll_obs.a to resolve the first
+// operator new call it meets, so every binary that links the archive and
+// allocates gets the counting allocator, whether or not it ever calls
+// AllocationCount(). A deployment build configures
+// -DRLL_COUNT_ALLOCS=OFF.
 //
 // This is an observability instrument, not an allocator: the overrides
 // route through malloc/free, so ASan/TSan still see every byte (they

@@ -185,11 +185,6 @@ double Histogram::Percentile(double q) const {
                              max());
 }
 
-std::function<void(double)> ObserveMillis(Histogram* histogram) {
-  RLL_CHECK(histogram != nullptr);
-  return [histogram](double millis) { histogram->Observe(millis); };
-}
-
 MetricRegistry& MetricRegistry::Global() {
   static MetricRegistry registry;
   return registry;
@@ -248,34 +243,6 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
 size_t MetricRegistry::size() const {
   MutexLock lock(mu_);
   return entries_.size();
-}
-
-std::string MetricRegistry::ExportText() const {
-  MutexLock lock(mu_);
-  std::string out = StrFormat("# schema_version %d\n", kMetricsSchemaVersion);
-  for (const auto& [key, entry] : entries_) {
-    const std::string id = entry.name + LabelsToText(entry.labels);
-    switch (entry.kind) {
-      case Kind::kCounter:
-        out += StrFormat("%s %llu\n", id.c_str(),
-                         static_cast<unsigned long long>(
-                             entry.counter->value()));
-        break;
-      case Kind::kGauge:
-        out += StrFormat("%s %g\n", id.c_str(), entry.gauge->value());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        out += StrFormat(
-            "%s count=%llu mean=%g p50=%g p95=%g p99=%g min=%g max=%g\n",
-            id.c_str(), static_cast<unsigned long long>(h.count()), h.mean(),
-            h.Percentile(0.50), h.Percentile(0.95), h.Percentile(0.99),
-            h.count() ? h.min() : 0.0, h.count() ? h.max() : 0.0);
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 std::string MetricRegistry::ExportJsonl() const {
@@ -360,16 +327,6 @@ std::string MetricRegistry::ExportJson() const {
     }
   }
   out += "}}";
-  return out;
-}
-
-std::map<std::string, uint64_t> MetricRegistry::CounterValues() const {
-  MutexLock lock(mu_);
-  std::map<std::string, uint64_t> out;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.kind != Kind::kCounter) continue;
-    out[entry.name + LabelsToText(entry.labels)] = entry.counter->value();
-  }
   return out;
 }
 

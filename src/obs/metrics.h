@@ -1,5 +1,5 @@
 // Thread-safe in-process metrics: Counter, Gauge, Histogram, and a labeled
-// MetricRegistry with text and JSONL exporters.
+// MetricRegistry with JSONL and JSON exporters.
 //
 // Instruments are lock-free on the record path (relaxed atomics); the
 // registry takes a mutex only on lookup, so callers on hot paths resolve
@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -165,10 +164,6 @@ double QuantileFromBuckets(const HistogramOptions& options,
                            const std::vector<uint64_t>& counts, double q,
                            double observed_min, double observed_max);
 
-/// Callback for common/stopwatch.h's ScopedTimer: reports the elapsed
-/// milliseconds into `histogram` when the timer scope exits.
-std::function<void(double)> ObserveMillis(Histogram* histogram);
-
 /// Named, labeled instrument store. One Global() registry serves the
 /// process; tests construct private registries.
 class MetricRegistry {
@@ -187,13 +182,6 @@ class MetricRegistry {
   Histogram* GetHistogram(const std::string& name, const Labels& labels = {},
                           HistogramOptions options = {});
 
-  /// Human-readable dump, one "name{labels} value" line per instrument,
-  /// histograms with count/mean/p50/p95/p99. Starts with a
-  /// "# schema_version N" comment line; instrument lines are ordered by
-  /// registration key, so two exports of the same registry state are
-  /// byte-identical.
-  std::string ExportText() const;
-
   /// One JSON object per line:
   ///   {"type":"meta","schema_version":N}
   ///   {"type":"metric","kind":"counter","name":...,"labels":{...},...}
@@ -209,10 +197,6 @@ class MetricRegistry {
   /// "p99","sum"} (no bucket table — scrapes stay small). Key order is
   /// deterministic.
   std::string ExportJson() const;
-
-  /// Snapshot of every counter as "name{labels}" → value, for
-  /// since-last-scrape delta views. Deterministic order (std::map).
-  std::map<std::string, uint64_t> CounterValues() const;
 
   size_t size() const;
 

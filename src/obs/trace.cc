@@ -126,17 +126,6 @@ std::vector<TraceEventView> SnapshotTraceEvents() {
   return out;
 }
 
-size_t TraceEventCount() {
-  size_t total = 0;
-  BufferDirectory& dir = Directory();
-  MutexLock lock(dir.mu);
-  for (const auto& buffer : dir.buffers) {
-    MutexLock buffer_lock(buffer->mu);
-    total += buffer->events.size();
-  }
-  return total;
-}
-
 std::vector<std::pair<uint32_t, std::string>> TraceThreadNames() {
   std::vector<std::pair<uint32_t, std::string>> out;
   BufferDirectory& dir = Directory();

@@ -42,9 +42,6 @@ struct TraceEventView {
 /// Snapshot of every recorded event, ordered by (tid, start).
 std::vector<TraceEventView> SnapshotTraceEvents();
 
-/// Total recorded events across all threads.
-size_t TraceEventCount();
-
 /// trace tid → thread name (common/thread_registry) for every trace buffer
 /// whose thread had named itself by the time it recorded a span. Ordered
 /// by tid.

@@ -1,6 +1,7 @@
 #include "serve/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace rll::serve {
@@ -238,7 +239,9 @@ class Parser {
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    // strtod answers +-inf for a magnitude past double's range (1e999);
+    // JSON has no infinities, so that is an invalid number too.
+    if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
       pos_ = start;
       return Error("invalid number");
     }

@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -17,6 +19,18 @@ Result<std::string> SerializeId(const JsonValue& id) {
   if (id.is_number()) return obs::JsonNumber(id.number);
   if (id.is_string()) return "\"" + obs::JsonEscape(id.string) + "\"";
   return Status::InvalidArgument("\"id\" must be a number or a string");
+}
+
+/// True when `v` is an integer in [1, Int's max]. The range is checked on
+/// the double, before any cast: converting a double outside the target
+/// type's range is undefined behaviour. The limit is max() + 1 as a
+/// double (2^31 for int, 2^64 for size_t, both exact), so `v < limit`
+/// admits exactly Int's range.
+template <typename Int>
+bool IsPositiveInteger(double v) {
+  const double limit =
+      static_cast<double>(std::numeric_limits<Int>::max()) + 1.0;
+  return v >= 1.0 && v < limit && v == std::floor(v);
 }
 
 }  // namespace
@@ -174,8 +188,7 @@ Result<Request> ParseRequest(const std::string& line, std::string* id_json) {
         return Status::InvalidArgument(
             "\"hz\" is only valid with action \"start\"");
       }
-      if (!hz->is_number() || hz->number < 1.0 ||
-          hz->number != static_cast<double>(static_cast<int>(hz->number))) {
+      if (!hz->is_number() || !IsPositiveInteger<int>(hz->number)) {
         return Status::InvalidArgument("\"hz\" must be a positive integer");
       }
       request.profile_hz = static_cast<int>(hz->number);
@@ -227,8 +240,7 @@ Result<Request> ParseRequest(const std::string& line, std::string* id_json) {
     if (request.type != RequestType::kNeighbors) {
       return Status::InvalidArgument("\"k\" is only valid for neighbors");
     }
-    if (!k->is_number() || k->number < 1.0 ||
-        k->number != static_cast<double>(static_cast<size_t>(k->number))) {
+    if (!k->is_number() || !IsPositiveInteger<size_t>(k->number)) {
       return Status::InvalidArgument("\"k\" must be a positive integer");
     }
     request.k = static_cast<size_t>(k->number);

@@ -11,9 +11,9 @@
 // routed through the batcher):
 //   {"id": 1, "type": "healthz"}     — liveness, answers even while draining
 //   {"id": 2, "type": "statusz"}     — uptime, bundle dims, configuration
-//   {"id": 3, "type": "metricsz"}    — metric snapshot: cumulative,
-//                                      since-last-scrape delta, and
-//                                      sliding-window views
+//   {"id": 3, "type": "metricsz"}    — metric snapshot: cumulative and
+//                                      sliding-window views, plus
+//                                      latency exemplars
 //   {"id": 4, "type": "profilez", "action": "start", "hz": 99}
 //   {"id": 5, "type": "profilez", "action": "stop"}
 //   {"id": 6, "type": "profilez", "action": "fetch", "format": "folded"}

@@ -585,36 +585,7 @@ std::string ServerCore::MetricszPayload() {
       ->Set(static_cast<double>(arenas.bytes_reserved));
   registry.GetGauge("rll_arena_high_water_bytes")
       ->Set(static_cast<double>(arenas.high_water));
-  // Counters are snapshotted once and reused for the delta, so the two
-  // views in one payload never disagree with each other.
-  const std::map<std::string, uint64_t> counters = registry.CounterValues();
   const std::string cumulative = registry.ExportJson();
-
-  double delta_seconds;
-  unsigned long long seq;
-  std::string delta = "{";
-  {
-    MutexLock lock(admin_mu_);
-    delta_seconds = has_scrape_ ? last_scrape_.ElapsedSeconds()
-                                : uptime_.ElapsedSeconds();
-    seq = static_cast<unsigned long long>(++scrape_seq_);
-    bool first = true;
-    for (const auto& [id, value] : counters) {
-      uint64_t previous = 0;
-      if (const auto it = last_counters_.find(id);
-          it != last_counters_.end()) {
-        previous = it->second;
-      }
-      if (!first) delta += ",";
-      first = false;
-      delta += "\"" + obs::JsonEscape(id) +
-               "\":" + std::to_string(value - previous);
-    }
-    last_counters_ = counters;
-    last_scrape_.Restart();
-    has_scrape_ = true;
-  }
-  delta += "}";
 
   std::string windowed = "{\"latency_ms\":{";
   windowed +=
@@ -668,11 +639,8 @@ std::string ServerCore::MetricszPayload() {
   exemplars += "}";
 
   std::string out = "{\"cumulative\":" + cumulative;
-  out += ",\"delta\":" + delta;
-  out += ",\"delta_seconds\":" + obs::JsonNumber(delta_seconds);
   out += ",\"exemplars\":" + exemplars;
   out += StrFormat(",\"schema_version\":%d", obs::kMetricsSchemaVersion);
-  out += StrFormat(",\"scrape_seq\":%llu", seq);
   out += ",\"uptime_s\":" + obs::JsonNumber(uptime_seconds());
   out += ",\"windowed\":" + windowed + "}";
   return out;

@@ -33,7 +33,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -261,14 +260,10 @@ class ServerCore {
   /// Indexed by RequestType value; data-plane types only.
   std::unique_ptr<obs::WindowedHistogram> windowed_latency_by_type_[3];
 
-  // Since-last-scrape state for the metricsz delta view, the transport
-  // statusz hook, and the last reload error. Scrapes are rare (seconds
-  // apart), so one mutex here costs nothing on the request path.
+  // The reload hook, the transport statusz hook, and the last reload
+  // error. Admin requests are rare (seconds apart), so one mutex here
+  // costs nothing on the request path.
   mutable Mutex admin_mu_;
-  std::map<std::string, uint64_t> last_counters_ RLL_GUARDED_BY(admin_mu_);
-  Stopwatch last_scrape_ RLL_GUARDED_BY(admin_mu_);
-  uint64_t scrape_seq_ RLL_GUARDED_BY(admin_mu_) = 0;
-  bool has_scrape_ RLL_GUARDED_BY(admin_mu_) = false;
   ReloadRequestFn reload_handler_ RLL_GUARDED_BY(admin_mu_);
   TransportStatusFn transport_status_ RLL_GUARDED_BY(admin_mu_);
   std::string last_reload_error_ RLL_GUARDED_BY(admin_mu_);

@@ -24,9 +24,4 @@ Matrix XavierUniform(size_t fan_in, size_t fan_out, Rng* rng) {
   return RandomUniform(fan_in, fan_out, rng, -limit, limit);
 }
 
-Matrix HeNormal(size_t fan_in, size_t fan_out, Rng* rng) {
-  const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-  return RandomNormal(fan_in, fan_out, rng, 0.0, stddev);
-}
-
 }  // namespace rll

@@ -20,9 +20,6 @@ Matrix RandomNormal(size_t rows, size_t cols, Rng* rng, double mean = 0.0,
 /// (the paper's MLP uses saturating nonlinearities).
 Matrix XavierUniform(size_t fan_in, size_t fan_out, Rng* rng);
 
-/// He normal: N(0, sqrt(2/fan_in)); suits ReLU layers.
-Matrix HeNormal(size_t fan_in, size_t fan_out, Rng* rng);
-
 }  // namespace rll
 
 #endif  // RLL_TENSOR_INIT_H_

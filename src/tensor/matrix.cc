@@ -28,10 +28,6 @@ Matrix Matrix::Identity(size_t n) {
   return m;
 }
 
-Matrix Matrix::ColVector(const std::vector<double>& values) {
-  return Matrix(values.size(), 1, values);
-}
-
 Matrix Matrix::RowVector(const std::vector<double>& values) {
   return Matrix(1, values.size(), values);
 }
@@ -40,13 +36,6 @@ Matrix Matrix::Row(size_t r) const {
   RLL_CHECK_LT(r, rows_);
   Matrix out(1, cols_);
   for (size_t c = 0; c < cols_; ++c) out(0, c) = (*this)(r, c);
-  return out;
-}
-
-Matrix Matrix::Col(size_t c) const {
-  RLL_CHECK_LT(c, cols_);
-  Matrix out(rows_, 1);
-  for (size_t r = 0; r < rows_; ++r) out(r, 0) = (*this)(r, c);
   return out;
 }
 
@@ -76,17 +65,6 @@ Matrix Matrix::GatherRows(const size_t* indices, size_t count) const {
     for (size_t c = 0; c < cols_; ++c) dst[c] = src[c];
   }
   return out;
-}
-
-void Matrix::GatherRowsInto(const size_t* indices, size_t count,
-                            Matrix& out) const {
-  out.Reshape(count, cols_);
-  for (size_t i = 0; i < count; ++i) {
-    RLL_CHECK_LT(indices[i], rows_);
-    const double* src = row_data(indices[i]);
-    double* dst = out.row_data(i);
-    for (size_t c = 0; c < cols_; ++c) dst[c] = src[c];
-  }
 }
 
 void Matrix::Fill(double value) {

@@ -29,15 +29,7 @@ class Matrix {
   /// Builds from nested initializer lists: Matrix({{1,2},{3,4}}).
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  static Matrix Zeros(size_t rows, size_t cols) {
-    return Matrix(rows, cols, 0.0);
-  }
-  static Matrix Ones(size_t rows, size_t cols) {
-    return Matrix(rows, cols, 1.0);
-  }
   static Matrix Identity(size_t n);
-  /// Column vector from values.
-  static Matrix ColVector(const std::vector<double>& values);
   /// Row vector from values.
   static Matrix RowVector(const std::vector<double>& values);
 
@@ -78,8 +70,6 @@ class Matrix {
 
   /// Copies row r into a new 1×cols matrix.
   Matrix Row(size_t r) const;
-  /// Copies column c into a new rows×1 matrix.
-  Matrix Col(size_t c) const;
   /// Overwrites row r from a 1×cols matrix or flat values.
   void SetRow(size_t r, const Matrix& row);
   void SetRow(size_t r, const std::vector<double>& values);
@@ -88,10 +78,6 @@ class Matrix {
   Matrix GatherRows(const std::vector<size_t>& indices) const;
   /// Pointer form for hot paths whose index lists live in scratch storage.
   Matrix GatherRows(const size_t* indices, size_t count) const;
-  /// Gathers into an existing matrix (reshaped to count×cols), so a
-  /// workspace buffer can absorb the copy without allocating.
-  void GatherRowsInto(const size_t* indices, size_t count,
-                      Matrix& out) const;
 
   /// Re-declares the shape, reusing the existing storage. The value prefix
   /// that survives a std::vector resize is preserved; new elements are

@@ -1,7 +1,7 @@
 // Tests for the arena-backed memory plane (common/arena.h): alignment
 // and Reset() reuse guarantees of the bump allocator, high-water
 // accounting, the ScratchAllocator header protocol (heap fallback,
-// use-after-reset tripwire), Workspace shape checking, global gauge
+// use-after-reset tripwire), Workspace reuse, global gauge
 // registration, TSan-visible concurrent per-worker usage, and the
 // end-to-end guarantee the whole subsystem exists for: a steady-state
 // RllTrainer batch loop performs zero heap allocations under
@@ -161,17 +161,17 @@ TEST(ArenaDeathTest, UseAfterResetTripsTheHeaderCheck) {
 
 TEST(WorkspaceTest, CreatesOnFirstUseAndReusesStorage) {
   Workspace ws;
-  Matrix& a = ws.Get("hidden", 4, 8);
+  Matrix& a = ws.GetReshaped("hidden", 4, 8);
   EXPECT_EQ(a.rows(), 4u);
   EXPECT_EQ(a.cols(), 8u);
   a(3, 7) = 42.0;
 
-  Matrix& again = ws.Get("hidden", 4, 8);
+  Matrix& again = ws.GetReshaped("hidden", 4, 8);
   EXPECT_EQ(&again, &a);  // Same buffer, values intact.
   EXPECT_DOUBLE_EQ(again(3, 7), 42.0);
   EXPECT_EQ(ws.size(), 1u);
 
-  ws.Get("other", 2, 2);
+  ws.GetReshaped("other", 2, 2);
   EXPECT_EQ(ws.size(), 2u);
 }
 
@@ -196,24 +196,14 @@ TEST(WorkspaceTest, BuffersAreHeapBackedEvenInsideAScope) {
   Workspace ws;
   {
     ArenaScope scope(&arena);
-    Matrix& buffer = ws.Get("persistent", 8, 8);
+    Matrix& buffer = ws.GetReshaped("persistent", 8, 8);
     buffer(0, 0) = 7.0;
     // The workspace pauses arena routing internally: none of the buffer's
     // bytes may land in the (resettable) arena.
     EXPECT_EQ(arena.bytes_used(), 0u);
   }
   arena.Reset();
-  EXPECT_DOUBLE_EQ(ws.Get("persistent", 8, 8)(0, 0), 7.0);
-}
-
-TEST(WorkspaceDeathTest, ShapeMismatchOnStrictCheckoutAborts) {
-  EXPECT_DEATH(
-      {
-        Workspace ws;
-        ws.Get("proj", 4, 8);
-        ws.Get("proj", 4, 9);  // Shape drift under a stable key.
-      },
-      "shape mismatch");
+  EXPECT_DOUBLE_EQ(ws.GetReshaped("persistent", 8, 8)(0, 0), 7.0);
 }
 
 // ------------------------------------------------------------ global gauges

@@ -219,30 +219,13 @@ TEST(TuningTest, PicksFromGridAndReportsAllPoints) {
   }
 }
 
-TEST(TuningTest, GenericSetterTunesOtherFields) {
-  Rng rng(22);
-  data::Dataset d = SmallAnnotatedDataset(&rng);
-  core::TuningOptions options;
-  options.pipeline.trainer.model.hidden_dims = {16, 8};
-  options.pipeline.trainer.epochs = 3;
-  options.pipeline.trainer.groups_per_epoch = 128;
-  auto result = core::TuneOnHeldOut(
-      d, {2.0, 3.0},
-      [](core::RllTrainerOptions* trainer, double k) {
-        trainer->negatives_per_group = static_cast<size_t>(k);
-      },
-      options, &rng);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->best_value == 2.0 || result->best_value == 3.0);
-}
-
 TEST(TuningTest, RejectsBadInputs) {
   Rng rng(23);
   data::Dataset d = SmallAnnotatedDataset(&rng);
   core::TuningOptions options;
   EXPECT_FALSE(core::TuneEta(d, options, &rng, {}).ok());
   options.held_out_fraction = 1.5;
-  EXPECT_FALSE(core::TuneEta(d, options, &rng).ok());
+  EXPECT_FALSE(core::TuneEta(d, options, &rng, {2.0}).ok());
 }
 
 // ------------------------------------------------------------------ Raykar
@@ -370,6 +353,26 @@ TEST(CrossValidateTest, FailsOnUnannotatedData) {
   SoftProbMethod method;
   EXPECT_EQ(CrossValidateMethod(d, method, 3, &rng).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// Answers one label short of the test split on every fold.
+class OneLabelShortMethod : public Method {
+ public:
+  std::string name() const override { return "OneLabelShort"; }
+  std::string group() const override { return "test"; }
+  Result<std::vector<int>> TrainAndPredict(const data::Dataset& /*train*/,
+                                           const Matrix& test_features,
+                                           Rng* /*rng*/) const override {
+    return std::vector<int>(test_features.rows() - 1, 0);
+  }
+};
+
+TEST(CrossValidateTest, FailsWhenAMethodReturnsTooFewLabels) {
+  Rng rng(14);
+  data::Dataset d = SmallAnnotatedDataset(&rng, 60);
+  OneLabelShortMethod method;
+  EXPECT_EQ(CrossValidateMethod(d, method, 3, &rng).status().code(),
+            StatusCode::kInternal);
 }
 
 }  // namespace

@@ -37,8 +37,7 @@ TEST(StatusTest, AllCodesHaveNames) {
   for (StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
         StatusCode::kOutOfRange, StatusCode::kFailedPrecondition,
-        StatusCode::kInternal, StatusCode::kIOError,
-        StatusCode::kNotConverged}) {
+        StatusCode::kInternal, StatusCode::kIOError}) {
     EXPECT_STRNE(StatusCodeToString(code), "Unknown");
   }
 }
@@ -292,22 +291,15 @@ TEST(RngTest, SplitSeedChildStreamsLookIndependent) {
   EXPECT_LT(same, 2);
 }
 
-TEST(RngTest, SplitSeedBaseAdvancesParent) {
-  Rng a(7), b(7);
-  const uint64_t base = a.SplitSeedBase();
-  EXPECT_EQ(base, b.Next());  // Defined as one draw from the parent.
-  EXPECT_EQ(a.Next(), b.Next());  // Parent streams stay in lockstep after.
-}
-
 // ------------------------------------------------------------- Stopwatch
 
 TEST(StopwatchTest, ElapsedUnitsAgree) {
   Stopwatch watch;
   const double seconds = watch.ElapsedSeconds();
-  const double micros = watch.ElapsedMicros();
+  const double millis = watch.ElapsedMillis();
   EXPECT_GE(seconds, 0.0);
-  // Micros read after seconds, so the scaled value can only be larger.
-  EXPECT_GE(micros, seconds * 1e6);
+  // Millis read after seconds, so the scaled value can only be larger.
+  EXPECT_GE(millis, seconds * 1e3);
 }
 
 TEST(ScopedTimerTest, FiresCallbackOnDestruction) {
@@ -331,17 +323,6 @@ TEST(ScopedTimerTest, CancelSuppressesCallback) {
 }
 
 // --------------------------------------------------------------- logging
-
-TEST(LoggingTest, LogEveryNExecutesWithoutSideEffects) {
-  const LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kError);  // Keep the test output quiet.
-  // The macro keeps counting even while the severity is filtered out, and
-  // streaming into it must compile and run without touching stderr here.
-  for (int i = 0; i < 10; ++i) {
-    RLL_LOG_EVERY_N(Info, 3) << "heartbeat " << i;
-  }
-  SetLogLevel(saved);
-}
 
 TEST(LoggingTest, LevelRoundTrips) {
   const LogLevel saved = GetLogLevel();

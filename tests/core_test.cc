@@ -97,18 +97,6 @@ TEST(GroupSamplerTest, FailsWithTooFewNegatives) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(GroupSamplerTest, LogGroupSpaceMatchesFormula) {
-  GroupSampler sampler({1, 1, 1, 0, 0, 0, 0}, {.negatives_per_group = 3});
-  // |D+| = 3, |D−| = 4, k = 3 → log(9·64).
-  EXPECT_NEAR(sampler.LogGroupSpace(), std::log(9.0 * 64.0), 1e-12);
-}
-
-TEST(GroupSamplerTest, LogGroupSpaceInfeasibleIsMinusInf) {
-  GroupSampler sampler({1, 0}, {.negatives_per_group = 1});
-  EXPECT_TRUE(std::isinf(sampler.LogGroupSpace()));
-  EXPECT_LT(sampler.LogGroupSpace(), 0);
-}
-
 // ------------------------------------------------------------ GroupNllLoss
 
 TEST(GroupLossTest, PerfectRetrievalGivesLowLoss) {

@@ -121,32 +121,6 @@ TEST(WorkerPoolTest, AnnotationAccuracyDegradesWithWorseWorkers) {
             bad_stats->majority_vote_accuracy);
 }
 
-TEST(WorkerPoolTest, DriftPerturbsWithinBounds) {
-  Rng rng(50);
-  WorkerPool pool(std::vector<double>(6, 0.8), std::vector<double>(6, 0.8));
-  const std::vector<double> before = pool.sensitivity();
-  for (int round = 0; round < 50; ++round) pool.Drift(0.05, &rng);
-  bool changed = false;
-  for (size_t w = 0; w < pool.num_workers(); ++w) {
-    changed = changed || (pool.sensitivity()[w] != before[w]);
-    EXPECT_GE(pool.sensitivity()[w], 0.05);
-    EXPECT_LE(pool.sensitivity()[w], 0.99);
-    EXPECT_GE(pool.specificity()[w], 0.05);
-    EXPECT_LE(pool.specificity()[w], 0.99);
-  }
-  EXPECT_TRUE(changed);
-}
-
-TEST(WorkerPoolTest, ZeroDriftIsIdentity) {
-  Rng rng(51);
-  WorkerPool pool(std::vector<double>(4, 0.7), std::vector<double>(4, 0.9));
-  const std::vector<double> sens = pool.sensitivity();
-  const std::vector<double> spec = pool.specificity();
-  pool.Drift(0.0, &rng);
-  EXPECT_EQ(pool.sensitivity(), sens);
-  EXPECT_EQ(pool.specificity(), spec);
-}
-
 // ----------------------------------------------------------- MajorityVote
 
 TEST(MajorityVoteTest, FailsWithoutAnnotations) {

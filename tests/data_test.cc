@@ -92,12 +92,6 @@ TEST(DatasetTest, ClearAnnotations) {
   EXPECT_EQ(d.NumWorkers(), 0u);
 }
 
-TEST(DatasetTest, PositiveNegativeIndices) {
-  const std::vector<int> labels = {1, 0, 1, 1, 0};
-  EXPECT_EQ(Dataset::PositiveIndices(labels), (std::vector<size_t>{0, 2, 3}));
-  EXPECT_EQ(Dataset::NegativeIndices(labels), (std::vector<size_t>{1, 4}));
-}
-
 // ------------------------------------------------------------------ KFold
 
 TEST(KFoldTest, TrainTestSplitPartitions) {

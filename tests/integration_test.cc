@@ -202,24 +202,42 @@ TEST(IntegrationTest, BayesianConfidenceHelpsUnderHeavyNoiseFewVotes) {
   EXPECT_GE(bayes_total, plain_total - 0.03);
 }
 
+void ExpectSameMetrics(const classify::EvalMetrics& a,
+                       const classify::EvalMetrics& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.accuracy, b.accuracy) << where;
+  EXPECT_EQ(a.f1, b.f1) << where;
+  EXPECT_EQ(a.precision, b.precision) << where;
+  EXPECT_EQ(a.recall, b.recall) << where;
+}
+
 TEST(IntegrationTest, MethodInterfaceAndPipelineAgree) {
   // RllVariantMethod through the generic harness must equal the dedicated
-  // pipeline given identical seeds (they share the same code path).
-  Scenario s1 = MakeScenario(11, 150);
-  Scenario s2 = MakeScenario(11, 150);
+  // pipeline given identical seeds, fold by fold and at any thread count.
+  Scenario s = MakeScenario(11, 150);
   const auto options = MediumRllOptions(crowd::ConfidenceMode::kMle);
-
-  Rng rng_a(42);
-  auto direct = core::RunRllCrossValidation(s1.dataset, options, &rng_a);
-  Rng rng_b(42);
   baselines::RllVariantMethod method(options);
-  auto via_harness =
-      baselines::CrossValidateMethod(s2.dataset, method, options.folds,
-                                     &rng_b);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(via_harness.ok());
-  EXPECT_DOUBLE_EQ(direct->mean.accuracy, via_harness->mean.accuracy);
-  EXPECT_DOUBLE_EQ(direct->mean.f1, via_harness->mean.f1);
+
+  for (size_t threads : {1u, 4u}) {
+    SetGlobalThreads(threads);
+    const std::string at = " threads=" + std::to_string(threads);
+    Rng rng_a(42);
+    auto direct = core::RunRllCrossValidation(s.dataset, options, &rng_a);
+    Rng rng_b(42);
+    auto via_harness = baselines::CrossValidateMethod(s.dataset, method,
+                                                      options.folds, &rng_b);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(via_harness.ok());
+    ASSERT_EQ(direct->per_fold.size(), options.folds);
+    ASSERT_EQ(via_harness->per_fold.size(), options.folds);
+    for (size_t f = 0; f < options.folds; ++f) {
+      ExpectSameMetrics(direct->per_fold[f], via_harness->per_fold[f],
+                        "fold " + std::to_string(f) + at);
+    }
+    ExpectSameMetrics(direct->mean, via_harness->mean, "mean" + at);
+    ExpectSameMetrics(direct->stddev, via_harness->stddev, "stddev" + at);
+  }
+  SetGlobalThreads(0);  // Restore the RLL_THREADS / serial default.
 }
 
 TEST(IntegrationTest, CsvExportedDatasetTrainsIdentically) {

@@ -8,14 +8,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/rll_trainer.h"
 #include "crowd/worker_pool.h"
@@ -334,11 +332,6 @@ TEST(MetricRegistryTest, ExportersEmitEveryInstrument) {
   registry.GetGauge("lr", {{"opt", "adam"}})->Set(0.001);
   registry.GetHistogram("latency_ms")->Observe(1.5);
 
-  const std::string text = registry.ExportText();
-  EXPECT_NE(text.find("events_total"), std::string::npos);
-  EXPECT_NE(text.find("lr"), std::string::npos);
-  EXPECT_NE(text.find("latency_ms"), std::string::npos);
-
   const std::string jsonl = registry.ExportJsonl();
   std::istringstream lines(jsonl);
   std::string line;
@@ -362,10 +355,6 @@ TEST(MetricRegistryTest, ExportersEmitEveryInstrument) {
   }
   EXPECT_EQ(meta_lines, 1u);
   EXPECT_EQ(metric_lines, 3u);
-
-  EXPECT_NE(registry.ExportText().find(
-                StrFormat("# schema_version %d", kMetricsSchemaVersion)),
-            std::string::npos);
 }
 
 TEST(MetricRegistryTest, ExportJsonIsValidAndVersioned) {
@@ -389,29 +378,6 @@ TEST(MetricRegistryTest, ExportJsonIsValidAndVersioned) {
   // Keys are emitted in sorted order, so exports diff cleanly run-to-run.
   EXPECT_LT(json.find("events_total"), json.find("latency_ms"));
   EXPECT_LT(json.find("latency_ms"), json.find("lr{opt="));
-}
-
-TEST(MetricRegistryTest, CounterValuesSnapshotsCountersOnly) {
-  MetricRegistry registry;
-  registry.GetCounter("a_total")->Increment(2);
-  registry.GetCounter("b_total", {{"k", "v"}})->Increment(5);
-  registry.GetGauge("not_a_counter")->Set(9.0);
-  registry.GetHistogram("nor_this")->Observe(1.0);
-
-  const std::map<std::string, uint64_t> values = registry.CounterValues();
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values.at("a_total"), 2u);
-  EXPECT_EQ(values.at("b_total{k=\"v\"}"), 5u);
-}
-
-TEST(MetricRegistryTest, ObserveMillisBridgesScopedTimer) {
-  MetricRegistry registry;
-  Histogram* h = registry.GetHistogram("scoped_ms");
-  {
-    ScopedTimer timer(ObserveMillis(h));
-  }
-  EXPECT_EQ(h->count(), 1u);
-  EXPECT_GE(h->sum(), 0.0);
 }
 
 // ---------------------------------------------------------------- windowed
@@ -561,7 +527,7 @@ TEST(TraceTest, DisabledRecordsNothing) {
   {
     RLL_TRACE_SPAN("ignored");
   }
-  EXPECT_EQ(TraceEventCount(), 0u);
+  EXPECT_TRUE(SnapshotTraceEvents().empty());
 }
 
 TEST(TraceTest, NestedSpansContainEachOther) {

@@ -22,16 +22,16 @@ struct ModuleRank {
 // higher-rank includes are violations unless allowlisted.
 constexpr std::array<ModuleRank, 12> kRanks = {{
     {"common", 0},
-    {"tensor", 1},
-    {"autograd", 2},
-    {"nn", 3},
-    {"classify", 4},
-    {"crowd", 4},
-    {"data", 4},
-    {"text", 4},
-    {"baselines", 5},
-    {"core", 5},
-    {"obs", 6},
+    {"obs", 1},
+    {"tensor", 2},
+    {"autograd", 3},
+    {"nn", 4},
+    {"classify", 5},
+    {"crowd", 5},
+    {"data", 5},
+    {"text", 5},
+    {"baselines", 6},
+    {"core", 6},
     {"serve", 7},
 }};
 

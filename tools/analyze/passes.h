@@ -4,11 +4,12 @@
 //
 //   layering            src/ modules may only include same- or lower-rank
 //                       modules in the DAG
-//                         common -> tensor -> autograd -> nn
+//                         common -> obs -> tensor -> autograd -> nn
 //                           -> {classify, crowd, data, text}
-//                           -> {baselines, core} -> obs -> serve
-//                       Cross-cutting exceptions (instrumentation) live in
-//                       an explicit allowlist file, one edge per line.
+//                           -> {baselines, core} -> serve
+//                       (obs ranks where the build puts it: rll_obs links
+//                       only rll_common). Exceptions live in an explicit
+//                       allowlist file, one edge per line.
 //   wall-clock          no time() / std::chrono::system_clock in src/ —
 //                       results must not depend on wall time
 //                       (steady_clock for durations is fine)

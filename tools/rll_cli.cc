@@ -656,12 +656,12 @@ int RunTune(const Args& args, const ObsSession& obs_session) {
   EchoRunConfig(args, crowd::ConfidenceMode::kBayesian, options.pipeline,
                 /*with_folds=*/false);
   Rng rng(static_cast<uint64_t>(args.GetInt("seed", 7)));
-  auto result = core::TuneEta(*dataset, options, &rng);
+  const std::vector<double> grid = {1.0, 2.0, 5.0, 10.0, 20.0};
+  auto result = core::TuneEta(*dataset, options, &rng, grid);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
-  const std::vector<double> grid = {1.0, 2.0, 5.0, 10.0, 20.0};
   std::printf("held-out eta selection (%.0f%% holdout, majority-vote "
               "target):\n",
               100.0 * options.held_out_fraction);
@@ -924,7 +924,7 @@ double NumberAt(const serve::JsonValue* root,
   return v != nullptr && v->is_number() ? v->number : fallback;
 }
 
-/// Sums "serve_requests_total{...}" members of a delta/cumulative metrics
+/// Sums "serve_requests_total{...}" members of the cumulative metrics
 /// object; `errors_only` restricts to entries whose status label != ok.
 double SumRequestCounters(const serve::JsonValue* metrics, bool errors_only) {
   if (metrics == nullptr || !metrics->is_object()) return 0.0;
@@ -993,14 +993,6 @@ int RunTop(const Args& args) {
         FindPath(payload, {"cumulative", "metrics"});
 
     const double uptime_s = NumberAt(payload, {"uptime_s"}, 0.0);
-    const double scrape_seq = NumberAt(payload, {"scrape_seq"}, 0.0);
-    const double delta_seconds =
-        NumberAt(payload, {"delta_seconds"}, 0.0);
-    const serve::JsonValue* delta = FindPath(payload, {"delta"});
-    const double delta_requests =
-        SumRequestCounters(delta, /*errors_only=*/false);
-    const double delta_rate =
-        delta_seconds > 0.0 ? delta_requests / delta_seconds : 0.0;
     const double total_requests =
         SumRequestCounters(cumulative, /*errors_only=*/false);
     const double total_errors =
@@ -1031,13 +1023,12 @@ int RunTop(const Args& args) {
         hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
 
     if (tty) std::printf("\x1b[H\x1b[2J");  // Home + clear: refresh in place.
-    std::printf("rll top — %s:%d   scrape %.0f   uptime %.1fs   rtt %.2fms\n",
-                host.c_str(), port, scrape_seq, uptime_s, rtt_ms);
+    std::printf("rll top — %s:%d   scrape %lld   uptime %.1fs   rtt %.2fms\n",
+                host.c_str(), port, static_cast<long long>(scrape + 1),
+                uptime_s, rtt_ms);
     std::printf(
-        "requests   total %.0f   errors %.0f   %.1f/s over %.0fs window   "
-        "%.1f/s since last scrape\n",
-        total_requests, total_errors, window_rate, window_seconds,
-        delta_rate);
+        "requests   total %.0f   errors %.0f   %.1f/s over %.0fs window\n",
+        total_requests, total_errors, window_rate, window_seconds);
     std::printf("latency ms windowed p50 %.3f   p95 %.3f   p99 %.3f\n", p50,
                 p95, p99);
     std::printf(
