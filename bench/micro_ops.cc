@@ -450,6 +450,8 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Results move 2-4x with the GEMM and tanh kernels' vector level.
+  benchmark::AddCustomContext("kernel_isa", rll::KernelIsa());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -40,9 +40,25 @@ int64_t EpochOf(int64_t now_us, const WindowOptions& options) {
   return now_us / options.interval_us;
 }
 
+// Seconds a snapshot at now_us divides its count by: the whole window, or
+// the instrument's age while that is shorter (it counted nothing before
+// its start), and at least 1 µs so the rate stays finite.
+double SpanSeconds(const WindowOptions& options, int64_t start_us,
+                   int64_t now_us) {
+  const int64_t window_us =
+      static_cast<int64_t>(options.intervals) * options.interval_us;
+  return static_cast<double>(
+             std::clamp<int64_t>(now_us - start_us, 1, window_us)) /
+         1e6;
+}
+
 }  // namespace
 
-WindowedCounter::WindowedCounter(WindowOptions options) : options_(options) {
+WindowedCounter::WindowedCounter(WindowOptions options)
+    : WindowedCounter(options, TraceNowMicros()) {}
+
+WindowedCounter::WindowedCounter(WindowOptions options, int64_t start_us)
+    : options_(options), start_us_(start_us) {
   CheckWindowOptions(options_);
   slots_ = std::make_unique<Slot[]>(options_.intervals);
 }
@@ -75,9 +91,7 @@ WindowedCounter::Snapshot WindowedCounter::SnapshotAt(int64_t now_us) const {
   const int64_t min_epoch =
       epoch - static_cast<int64_t>(options_.intervals) + 1;
   Snapshot snapshot;
-  snapshot.window_seconds =
-      static_cast<double>(options_.intervals) *
-      static_cast<double>(options_.interval_us) / 1e6;
+  snapshot.window_seconds = SpanSeconds(options_, start_us_, now_us);
   for (size_t i = 0; i < options_.intervals; ++i) {
     const Slot& slot = slots_[i];
     const int64_t slot_epoch = slot.epoch.load(std::memory_order_acquire);
@@ -91,8 +105,15 @@ WindowedCounter::Snapshot WindowedCounter::SnapshotAt(int64_t now_us) const {
 
 WindowedHistogram::WindowedHistogram(HistogramOptions histogram_options,
                                      WindowOptions window_options)
+    : WindowedHistogram(histogram_options, window_options, TraceNowMicros()) {
+}
+
+WindowedHistogram::WindowedHistogram(HistogramOptions histogram_options,
+                                     WindowOptions window_options,
+                                     int64_t start_us)
     : histogram_options_(histogram_options),
       window_options_(window_options),
+      start_us_(start_us),
       bounds_(HistogramBucketBounds(histogram_options)) {
   CheckWindowOptions(window_options_);
   slots_ = std::make_unique<Slot[]>(window_options_.intervals);
@@ -154,9 +175,7 @@ WindowedHistogram::Snapshot WindowedHistogram::SnapshotAt(
       epoch - static_cast<int64_t>(window_options_.intervals) + 1;
 
   Snapshot snapshot;
-  snapshot.window_seconds =
-      static_cast<double>(window_options_.intervals) *
-      static_cast<double>(window_options_.interval_us) / 1e6;
+  snapshot.window_seconds = SpanSeconds(window_options_, start_us_, now_us);
 
   std::vector<uint64_t> buckets(bounds_.size() + 1, 0);
   double min = kInf;

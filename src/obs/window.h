@@ -14,9 +14,13 @@
 // quantized to whole intervals. Totals are never off by more than one
 // interval of traffic, which is what a scrape display needs.
 //
-// Time is injectable (`*At(..., now_us)`) so tests drive the ring
-// deterministically; the default overloads use the steady clock that
-// backs obs::TraceNowMicros(), never the wall clock.
+// An instrument younger than its window has seen all of its traffic, so
+// its rate is over its age, not over the whole window: a snapshot reports
+// the span it divided by as `window_seconds`.
+//
+// Time is injectable (`*At(..., now_us)`, and the instrument's start) so
+// tests drive the ring deterministically; the default overloads use the
+// steady clock that backs obs::TraceNowMicros(), never the wall clock.
 
 #ifndef RLL_OBS_WINDOW_H_
 #define RLL_OBS_WINDOW_H_
@@ -40,7 +44,10 @@ struct WindowOptions {
 /// Event count over the trailing window.
 class WindowedCounter {
  public:
+  /// Starts now, on the steady clock of the default overloads.
   explicit WindowedCounter(WindowOptions options = {});
+  /// Test hook: starts at `start_us` on the clock of the `*At` overloads.
+  WindowedCounter(WindowOptions options, int64_t start_us);
 
   WindowedCounter(const WindowedCounter&) = delete;
   WindowedCounter& operator=(const WindowedCounter&) = delete;
@@ -52,6 +59,8 @@ class WindowedCounter {
   struct Snapshot {
     uint64_t count = 0;
     double rate_per_sec = 0.0;
+    /// The span of the rate: the window, or the instrument's age while
+    /// that is shorter.
     double window_seconds = 0.0;
   };
   Snapshot GetSnapshot() const;
@@ -66,6 +75,7 @@ class WindowedCounter {
   };
 
   const WindowOptions options_;
+  const int64_t start_us_;
   std::unique_ptr<Slot[]> slots_;
 };
 
@@ -75,8 +85,12 @@ class WindowedCounter {
 /// snapshot time.
 class WindowedHistogram {
  public:
+  /// Starts now, on the steady clock of the default overloads.
   explicit WindowedHistogram(HistogramOptions histogram_options = {},
                              WindowOptions window_options = {});
+  /// Test hook: starts at `start_us` on the clock of the `*At` overloads.
+  WindowedHistogram(HistogramOptions histogram_options,
+                    WindowOptions window_options, int64_t start_us);
 
   WindowedHistogram(const WindowedHistogram&) = delete;
   WindowedHistogram& operator=(const WindowedHistogram&) = delete;
@@ -95,6 +109,7 @@ class WindowedHistogram {
     double p95 = 0.0;
     double p99 = 0.0;
     double rate_per_sec = 0.0;
+    /// As WindowedCounter::Snapshot::window_seconds.
     double window_seconds = 0.0;
   };
   Snapshot GetSnapshot() const;
@@ -119,6 +134,7 @@ class WindowedHistogram {
 
   const HistogramOptions histogram_options_;
   const WindowOptions window_options_;
+  const int64_t start_us_;
   std::vector<double> bounds_;  // Shared ascending finite upper bounds.
   std::unique_ptr<Slot[]> slots_;
 };

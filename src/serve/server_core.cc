@@ -12,6 +12,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "tensor/ops.h"
 
 namespace rll::serve {
 
@@ -544,6 +545,8 @@ std::string ServerCore::StatuszPayload() const {
                    static_cast<unsigned long long>(st->generation));
   out += StrFormat(",\"index_shards\":%zu", st->index.shard_count());
   out += StrFormat(",\"input_dim\":%zu", st->bundle.input_dim());
+  // The GEMM and tanh kernels' vector level: it moves speed, not bits.
+  out += StrFormat(",\"kernel_isa\":\"%s\"", KernelIsa());
   out += StrFormat(",\"max_batch\":%zu", options_.batcher.max_batch);
   out += StrFormat(",\"max_queue\":%zu", options_.batcher.max_queue);
   out += StrFormat(",\"reload_in_progress\":%s",

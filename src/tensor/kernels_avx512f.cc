@@ -1,0 +1,19 @@
+// The tensor kernels at 8 lanes, built with -mavx512f (never -mfma) on
+// x86-64 only, and run only where glibc reports AVX512F and AVX2 active.
+// See kernels.h for the rules.
+#include "tensor/kernels.h"
+
+namespace rll::kernels::avx512f {
+namespace {
+constexpr size_t kLanes = 8;
+constexpr size_t kTileVectors = 4;
+#include "tensor/kernels.inc"
+}  // namespace
+
+void GemmRows(const GemmOperands* g, size_t row_begin, size_t row_end) {
+  GemmRowRange(*g, row_begin, row_end);
+}
+
+void Tanh(double* x, size_t n) { TanhRange(x, n); }
+
+}  // namespace rll::kernels::avx512f

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <vector>
+
+#if defined(__x86_64__) && __has_include(<sys/platform/x86.h>)
+#include <sys/platform/x86.h>  // glibc >= 2.33
+#endif
 
 #include "common/finite_check.h"
 #include "common/threading.h"
+#include "tensor/kernels.h"
 
 namespace rll {
 
@@ -47,125 +50,37 @@ size_t ElemGrain(size_t n) {
   return n < kElemSerialSize ? std::max<size_t>(n, 1) : kElemGrain;
 }
 
-// GEMM kernel: C = op(A)·op(B) in register tiles of kTileRows rows by 8
-// columns, held in two-double vectors (SSE2 on x86-64, NEON on aarch64,
-// through the GCC/Clang vector extension); two- and one-column tiles
-// finish the row. Every element is summed over k ascending from +0 with a
-// separate multiply and add (rll_tensor builds with -ffp-contract=off, so
-// no compiler fuses them): the order of a plain triple loop, so neither
-// the tiling nor the row partition changes a bit of the result.
-using Vec2 = double __attribute__((vector_size(16)));
-constexpr size_t kTileRows = 4;
-
-// Operands in place: op(A)(i, p) = a[i * a_row + p * a_k] (the strides
-// swap with trans_a); op(B) is row-major k × n, C row-major m × n.
-struct GemmOperands {
-  const double* a;
-  size_t a_row;
-  size_t a_k;
-  const double* b;
-  double* c;
-  size_t k;
-  size_t n;
+// The GEMM and tanh kernels run at one vector level per process, picked
+// on first use from the CPU features glibc reports active. These, unlike
+// __builtin_cpu_supports, honour GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX512F
+// (or -AVX2), so one process can be held to a narrower level. The 8-lane
+// build may use any AVX2 instruction as well, so it needs both features.
+// Every level returns the same bits (kernels.h).
+struct KernelLevel {
+  const char* name;
+  void (*gemm_rows)(const kernels::GemmOperands*, size_t, size_t);
+  void (*tanh)(double*, size_t);
 };
 
-// The MR-row block of C at (i, j) that NV values of V (a Vec2 or a
-// double) cover. memcpy loads and stores: rows need not be aligned. The
-// loops over the tile are unrolled fully so that -O2 keeps `acc` in
-// registers.
-template <typename V, size_t MR, size_t NV>
-void GemmTile(const GemmOperands& g, size_t i, size_t j) {
-  constexpr size_t kLanes = sizeof(V) / sizeof(double);
-  V acc[MR][NV] = {};
-  const double* a = g.a + i * g.a_row;
-  const double* b = g.b + j;
-  for (size_t p = 0; p < g.k; ++p) {
-    V bv[NV] = {};
-#pragma GCC unroll 4
-    for (size_t v = 0; v < NV; ++v) {
-      std::memcpy(&bv[v], b + p * g.n + v * kLanes, sizeof(V));
-    }
-#pragma GCC unroll 4
-    for (size_t r = 0; r < MR; ++r) {
-      const double x = a[r * g.a_row + p * g.a_k];
-#pragma GCC unroll 4
-      for (size_t v = 0; v < NV; ++v) acc[r][v] += x * bv[v];
-    }
+KernelLevel PickKernelLevel() {
+#if defined(__x86_64__) && __has_include(<sys/platform/x86.h>)
+  if (CPU_FEATURE_ACTIVE(AVX512F) && CPU_FEATURE_ACTIVE(AVX2)) {
+    return {"avx512f", kernels::avx512f::GemmRows, kernels::avx512f::Tanh};
   }
-#pragma GCC unroll 4
-  for (size_t r = 0; r < MR; ++r) {
-#pragma GCC unroll 4
-    for (size_t v = 0; v < NV; ++v) {
-      std::memcpy(g.c + (i + r) * g.n + j + v * kLanes, &acc[r][v],
-                  sizeof(V));
-    }
+  if (CPU_FEATURE_ACTIVE(AVX2)) {
+    return {"avx2", kernels::avx2::GemmRows, kernels::avx2::Tanh};
   }
+#endif
+#if defined(__aarch64__)
+  return {"neon", kernels::baseline::GemmRows, kernels::baseline::Tanh};
+#else
+  return {"sse2", kernels::baseline::GemmRows, kernels::baseline::Tanh};
+#endif
 }
 
-template <size_t MR>
-void GemmRows(const GemmOperands& g, size_t i) {
-  size_t j = 0;
-  for (; j + 8 <= g.n; j += 8) GemmTile<Vec2, MR, 4>(g, i, j);
-  for (; j + 2 <= g.n; j += 2) GemmTile<Vec2, MR, 1>(g, i, j);
-  if (j < g.n) GemmTile<double, MR, 1>(g, i, j);
-}
-
-// Tanh kernel: two lanes of the same Vec2, IEEE +, −, ×, ÷ and bit
-// operations only, each rounded on its own (-ffp-contract=off), so a
-// lane's result depends on its input's bits and nothing else. Both
-// branches run on every lane of a = |x| and a mask picks one:
-//   a < 0.625  a + a·s·P(s)/Q(s), s = a²: the Cephes tanh rational.
-//   otherwise  1 − 2/(e^{2a} + 1), a clamped at 22 (tanh rounds to 1
-//              from about 19.1 on). e^{2a} = 2ⁿ·e^g by Cody–Waite
-//              reduction, g = 2a − n·ln2 with ln2 split in two so n·C1
-//              is exact, and e^g by the Cephes Padé form
-//              (Q(g²) + g·P(g²)) / (Q(g²) − g·P(g²)), whose division is
-//              folded into the final one.
-// The sign bit is OR-ed back last, so tanh(−x) is −tanh(x) bit for bit,
-// and a NaN lane returns its input.
-using Bits2 = uint64_t __attribute__((vector_size(16)));
-
-Vec2 Blend(Bits2 mask, Vec2 if_set, Vec2 if_clear) {
-  return (Vec2)((mask & (Bits2)if_set) | (~mask & (Bits2)if_clear));
-}
-
-// Inlined into both call sites, so the loop keeps the constants in
-// registers instead of rebuilding them for every pair.
-[[gnu::always_inline]] inline Vec2 Tanh2(Vec2 x) {
-  const Bits2 sign_bit = {1ull << 63, 1ull << 63};
-  const Vec2 clamp = {22.0, 22.0};
-  Vec2 a = (Vec2)((Bits2)x & ~sign_bit);
-  a = Blend((Bits2)(a > clamp), clamp, a);
-
-  const Vec2 s = a * a;
-  Vec2 p = s * -9.64399179425052238628e-1 + -9.92877231001918586564e1;
-  p = p * s + -1.61468768441708447952e3;
-  Vec2 q = s + 1.12811678491632931402e2;
-  q = q * s + 2.23548839060100448583e3;
-  q = q * s + 4.84406305325125486048e3;
-  const Vec2 small = a + a * s * (p / q);
-
-  // Adding 1.5·2⁵² rounds 2a·log₂e to the integer n and leaves n in the
-  // low bits of the sum; (n + 1023) << 52 is then the double 2ⁿ.
-  const Vec2 shift = {0x1.8p52, 0x1.8p52};
-  const Vec2 y = a + a;
-  const Vec2 t = y * 1.4426950408889634073599 + shift;
-  const Vec2 n = t - shift;
-  const Vec2 g =
-      (y - n * 6.93145751953125e-1) - n * 1.42860682030941723212e-6;
-  const Vec2 gg = g * g;
-  Vec2 ep = gg * 1.26177193074810590878e-4 + 3.02994407707441961300e-2;
-  ep = g * (ep * gg + 9.99999999999999999910e-1);
-  Vec2 eq = gg * 3.00198505138664455042e-6 + 2.52448340349684104192e-3;
-  eq = eq * gg + 2.27265548208155028766e-1;
-  eq = eq * gg + 2.00000000000000000009e0;
-  const Vec2 pow2n = (Vec2)(((Bits2)t - (Bits2)shift + 1023) << 52);
-  const Vec2 den = eq - ep;  // e^{2a} = pow2n·(eq + ep)/den
-  const Vec2 large = 1.0 - (den + den) / ((eq + ep) * pow2n + den);
-
-  const Vec2 cutover = {0.625, 0.625};
-  const Vec2 r = Blend((Bits2)(a < cutover), small, large);
-  return Blend((Bits2)(x != x), x, (Vec2)((Bits2)r | ((Bits2)x & sign_bit)));
+const KernelLevel& Kernels() {
+  static const KernelLevel level = PickKernelLevel();
+  return level;
 }
 
 }  // namespace
@@ -184,8 +99,8 @@ void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
     out.Fill(0.0);
     return;
   }
-  GemmOperands g{a.data(), trans_a ? 1 : k, trans_a ? m : 1, b.data(),
-                 out.data(), k, n};
+  kernels::GemmOperands g{a.data(), trans_a ? 1 : k, trans_a ? m : 1,
+                          b.data(), out.data(), k, n};
   if (trans_b) {
     // Tiles stream rows of op(B), so Bᵀ is packed row-major once per
     // call, by the calling thread. The buffer only grows, so steady-state
@@ -198,16 +113,15 @@ void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
     g.b = packed.data();
   }
   // Rows of C are independent, so the row partition is bitwise-stable.
+  const auto gemm_rows = Kernels().gemm_rows;
   ParallelFor(0, m, GemmRowGrain(m, k * n),
               [&](size_t row_begin, size_t row_end) {
-                size_t i = row_begin;
-                for (; i + kTileRows <= row_end; i += kTileRows) {
-                  GemmRows<kTileRows>(g, i);
-                }
-                for (; i < row_end; ++i) GemmRows<1>(g, i);
+                gemm_rows(&g, row_begin, row_end);
               });
   RLL_DCHECK_FINITE(out);
 }
+
+const char* KernelIsa() { return Kernels().name; }
 
 Matrix Matmul(const Matrix& a, const Matrix& b) {
   Matrix c;
@@ -312,17 +226,9 @@ Matrix Map(const Matrix& a, const std::function<double(double)>& f) {
 
 void TanhInPlace(Matrix& m) {
   double* d = m.data();
-  ParallelFor(0, m.size(), ElemGrain(m.size()), [&](size_t lo, size_t hi) {
-    size_t i = lo;
-    for (; i + 2 <= hi; i += 2) {
-      Vec2 v;
-      std::memcpy(&v, d + i, sizeof(v));
-      v = Tanh2(v);
-      std::memcpy(d + i, &v, sizeof(v));
-    }
-    // An odd tail takes the same two-lane path with a padded lane.
-    if (i < hi) d[i] = Tanh2(Vec2{d[i], 0.0})[0];
-  });
+  const auto tanh_range = Kernels().tanh;
+  ParallelFor(0, m.size(), ElemGrain(m.size()),
+              [&](size_t lo, size_t hi) { tanh_range(d + lo, hi - lo); });
 }
 
 double Sum(const Matrix& a) {

@@ -29,6 +29,12 @@ namespace rll {
 void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
           Matrix& out);
 
+/// The vector level Gemm and TanhInPlace run at in this process, picked
+/// once from the CPU: "avx512f" (8 lanes), "avx2" (4 lanes), or the
+/// 2-lane baseline, "sse2" on x86-64 and "neon" on aarch64. The level
+/// changes only speed: every level returns the same bits.
+const char* KernelIsa();
+
 /// C = A·B, value-returning wrapper over Gemm.
 Matrix Matmul(const Matrix& a, const Matrix& b);
 

@@ -386,7 +386,7 @@ TEST(WindowedCounterTest, CountsWithinWindowAndComputesRate) {
   WindowOptions options;
   options.intervals = 5;
   options.interval_us = 1'000'000;
-  WindowedCounter counter(options);
+  WindowedCounter counter(options, /*start_us=*/0);
 
   const int64_t t0 = 100'000'000;  // Arbitrary steady-clock origin.
   counter.IncrementAt(3, t0);
@@ -396,6 +396,37 @@ TEST(WindowedCounterTest, CountsWithinWindowAndComputesRate) {
   EXPECT_EQ(snapshot.count, 5u);
   EXPECT_DOUBLE_EQ(snapshot.window_seconds, 5.0);
   EXPECT_DOUBLE_EQ(snapshot.rate_per_sec, 1.0);
+}
+
+TEST(WindowedCounterTest, YoungInstrumentRatesOverItsAge) {
+  // 20 events 0.2 s after start are 100/s, not 20 per 10 s window.
+  const int64_t start = 5'000'000;
+  WindowedCounter counter(WindowOptions{}, start);
+  counter.IncrementAt(20, start + 100'000);
+  const auto young = counter.SnapshotAt(start + 200'000);
+  EXPECT_EQ(young.count, 20u);
+  EXPECT_DOUBLE_EQ(young.window_seconds, 0.2);
+  EXPECT_DOUBLE_EQ(young.rate_per_sec, 100.0);
+  // A snapshot at the start itself stays finite.
+  EXPECT_DOUBLE_EQ(counter.SnapshotAt(start).window_seconds, 1e-6);
+  // Older than the window, the rate is over the whole window again.
+  counter.IncrementAt(30, start + 9'500'000);
+  const auto grown = counter.SnapshotAt(start + 10'500'000);
+  EXPECT_EQ(grown.count, 30u);  // The first 20 aged out.
+  EXPECT_DOUBLE_EQ(grown.window_seconds, 10.0);
+  EXPECT_DOUBLE_EQ(grown.rate_per_sec, 3.0);
+}
+
+TEST(WindowedCounterTest, DefaultClockStartsAtConstruction) {
+  // A counter made now and read at once is far younger than its 10 s
+  // window, so its rate is over less than the window.
+  WindowedCounter counter;
+  counter.Increment(20);
+  const auto snapshot = counter.GetSnapshot();
+  EXPECT_EQ(snapshot.count, 20u);
+  EXPECT_LT(snapshot.window_seconds, 10.0);
+  EXPECT_GT(snapshot.window_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(snapshot.rate_per_sec, 20.0 / snapshot.window_seconds);
 }
 
 TEST(WindowedCounterTest, OldIntervalsAgeOutOfTheWindow) {
@@ -474,6 +505,18 @@ TEST(WindowedHistogramTest, WindowForgetsOldLoad) {
   EXPECT_EQ(snapshot.count, 100u);
   EXPECT_DOUBLE_EQ(snapshot.max, 1.0);
   EXPECT_LT(snapshot.p99, 2.0);  // The 80ms burst aged out.
+}
+
+TEST(WindowedHistogramTest, YoungInstrumentRatesOverItsAge) {
+  const int64_t start = 7'000'000;
+  WindowedHistogram windowed(HistogramOptions{}, WindowOptions{}, start);
+  for (int i = 0; i < 50; ++i) windowed.ObserveAt(1.0, start + 400'000);
+  const auto young = windowed.SnapshotAt(start + 500'000);
+  EXPECT_EQ(young.count, 50u);
+  EXPECT_DOUBLE_EQ(young.window_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(young.rate_per_sec, 100.0);
+  EXPECT_DOUBLE_EQ(windowed.SnapshotAt(start + 60'000'000).window_seconds,
+                   10.0);
 }
 
 TEST(WindowedHistogramTest, EmptyWindowSnapshotsToZeros) {

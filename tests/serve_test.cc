@@ -36,6 +36,7 @@
 #include "serve/event/reload_manager.h"
 #include "tensor/init.h"
 #include "tensor/matrix.h"
+#include "tensor/ops.h"
 
 namespace rll::serve {
 namespace {
@@ -777,6 +778,10 @@ TEST(ServerCoreTest, HealthzAndStatuszRoundTrip) {
   EXPECT_TRUE(config->Find("supports_neighbors")->boolean);
   EXPECT_GT(config->Find("threads")->number, 0.0);
   EXPECT_GT(config->Find("max_batch")->number, 0.0);
+  // The vector level of the GEMM and tanh kernels in this process.
+  const JsonValue* kernel_isa = config->Find("kernel_isa");
+  ASSERT_NE(kernel_isa, nullptr);
+  EXPECT_EQ(kernel_isa->string, KernelIsa());
 
   // Admin answers keep flowing while the server drains.
   core->Shutdown();

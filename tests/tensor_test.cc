@@ -15,6 +15,7 @@
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
+#include "kernel_isa_expect.h"
 
 namespace rll {
 namespace {
@@ -172,8 +173,10 @@ bool SameBits(const Matrix& x, const Matrix& y) {
 }
 
 TEST(OpsTest, GemmMatchesNaiveLoopBitwise) {
-  // Every tile/tail split: below, at and past the 4-row by 8-column tile.
-  const size_t kSizes[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 65};
+  // Every tile/tail split: below, at and past the 4-row tile, whose width
+  // is 8 columns at 2 and 4 lanes and 32 at 8 lanes.
+  const size_t kSizes[] = {1,  2,  3,  4,  5,  7,  8, 9,
+                           16, 17, 31, 32, 33, 64, 65};
   Rng rng(4);
   Matrix out;
   for (const bool trans_a : {false, true}) {
@@ -313,9 +316,16 @@ TEST(OpsTest, MapAppliesFunction) {
   EXPECT_EQ(b, Matrix({{1, 16}}));
 }
 
+// The GEMM and tanh kernels run at the widest vector level the CPU has;
+// tests/CMakeLists.txt reruns their bitwise suites with this test under
+// glibc hwcaps masks, and each run must be at the level its mask allows.
+TEST(KernelIsaTest, RunsTheWidestLevelTheCpuAndMaskAllow) {
+  EXPECT_EQ(std::string(KernelIsa()), ExpectedKernelIsa());
+}
+
 // ------------------------------------------------------------------ Tanh
-// tests/CMakeLists.txt runs TanhTest.* a second time with glibc's FMA and
-// AVX2 code paths switched off, which changes the bits std::tanh returns.
+// tests/CMakeLists.txt runs TanhTest.* again with glibc's FMA and AVX2
+// code paths switched off, which changes the bits std::tanh returns.
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 

@@ -16,6 +16,7 @@
 #include "common/threading.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
+#include "kernel_isa_expect.h"
 
 namespace rll {
 namespace {
@@ -222,12 +223,19 @@ TEST(ParallelReduceTest, EmptyRangeReturnsIdentity) {
 
 // ------------------------------------------------------- kernel determinism
 
+// tests/CMakeLists.txt reruns the test below under glibc hwcaps masks;
+// this one fails any run whose kernel level is not the one its mask and
+// CPU allow.
+TEST(KernelDeterminismTest, RunsTheWidestKernelLevelAllowed) {
+  EXPECT_EQ(std::string(KernelIsa()), ExpectedKernelIsa());
+}
+
 TEST(KernelDeterminismTest, MatmulBitwiseIdenticalAcrossThreadCounts) {
   GlobalThreadsGuard guard;
   Rng rng(7);
   // Big enough to clear the serial-fallback thresholds in tensor/ops.cc;
   // 97 rows and 61 columns leave row and column tails past the kernel's
-  // 4x8 tiles.
+  // tiles at every lane count.
   Matrix a = RandomNormal(97, 83, &rng);
   Matrix b = RandomNormal(83, 61, &rng);
   const Matrix at = Transpose(a);

@@ -924,8 +924,11 @@ double NumberAt(const serve::JsonValue* root,
   return v != nullptr && v->is_number() ? v->number : fallback;
 }
 
-/// Sums "serve_requests_total{...}" members of the cumulative metrics
-/// object; `errors_only` restricts to entries whose status label != ok.
+/// Sums the "serve_requests_total{...}" members of the cumulative metrics
+/// object whose type is embed, predict or neighbors: the data-plane
+/// requests the windowed rate counts. Admin requests are left out, so a
+/// scrape never counts itself. `errors_only` restricts to entries whose
+/// status label != ok.
 double SumRequestCounters(const serve::JsonValue* metrics, bool errors_only) {
   if (metrics == nullptr || !metrics->is_object()) return 0.0;
   double total = 0.0;
@@ -933,6 +936,12 @@ double SumRequestCounters(const serve::JsonValue* metrics, bool errors_only) {
     if (key.rfind("serve_requests_total{", 0) != 0 || !value.is_number()) {
       continue;
     }
+    bool data_plane = false;
+    for (const char* type :
+         {"type=\"embed\"", "type=\"predict\"", "type=\"neighbors\""}) {
+      data_plane = data_plane || key.find(type) != std::string::npos;
+    }
+    if (!data_plane) continue;
     if (errors_only && key.find("status=\"ok\"") != std::string::npos) {
       continue;
     }
@@ -1027,7 +1036,7 @@ int RunTop(const Args& args) {
                 host.c_str(), port, static_cast<long long>(scrape + 1),
                 uptime_s, rtt_ms);
     std::printf(
-        "requests   total %.0f   errors %.0f   %.1f/s over %.0fs window\n",
+        "requests   total %.0f   errors %.0f   %.1f/s over %.1fs window\n",
         total_requests, total_errors, window_rate, window_seconds);
     std::printf("latency ms windowed p50 %.3f   p95 %.3f   p99 %.3f\n", p50,
                 p95, p99);
