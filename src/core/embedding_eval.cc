@@ -1,27 +1,13 @@
 #include "core/embedding_eval.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
-#include "tensor/ops.h"
+#include "core/embedding_index.h"
 
 namespace rll::core {
 
 namespace {
-
-/// Row-normalizes so cosine reduces to a dot product.
-Matrix NormalizeRows(const Matrix& m) {
-  Matrix out = m;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    double* row = out.row_data(r);
-    double norm = 0.0;
-    for (size_t c = 0; c < out.cols(); ++c) norm += row[c] * row[c];
-    norm = std::max(std::sqrt(norm), 1e-12);
-    for (size_t c = 0; c < out.cols(); ++c) row[c] /= norm;
-  }
-  return out;
-}
 
 double RowDot(const Matrix& m, size_t a, size_t b) {
   const double* ra = m.row_data(a);
@@ -37,7 +23,8 @@ EmbeddingQuality EvaluateEmbeddings(const Matrix& embeddings,
                                     const std::vector<int>& labels) {
   RLL_CHECK_EQ(embeddings.rows(), labels.size());
   RLL_CHECK_GE(labels.size(), 2u);
-  const Matrix unit = NormalizeRows(embeddings);
+  Matrix unit = embeddings;
+  NormalizeRows(unit);
   const size_t n = labels.size();
 
   EmbeddingQuality q;
@@ -97,25 +84,23 @@ double KnnAccuracy(const Matrix& embeddings, const std::vector<int>& labels,
   RLL_CHECK_EQ(embeddings.rows(), labels.size());
   RLL_CHECK_GE(labels.size(), 2u);
   RLL_CHECK_GE(k, 1u);
-  const Matrix unit = NormalizeRows(embeddings);
   const size_t n = labels.size();
   const size_t kk = std::min(k, n - 1);
+  EmbeddingIndex index;
+  RLL_CHECK(index.Build(embeddings).ok());
 
+  // Each row asks the index for kk + 1 neighbours, as `rll_cli retrieve`
+  // does, and drops itself; if a tie ranked it past kk + 1, the last one
+  // goes instead. Ties go to the lower index (KeepTopK).
   size_t correct = 0;
-  std::vector<std::pair<double, size_t>> sims;
-  sims.reserve(n - 1);
   for (size_t i = 0; i < n; ++i) {
-    sims.clear();
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      sims.emplace_back(RowDot(unit, i, j), j);
-    }
-    std::partial_sort(sims.begin(), sims.begin() + static_cast<long>(kk),
-                      sims.end(), [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
+    auto neighbors = index.Query(embeddings.Row(i), kk + 1);
+    RLL_CHECK(neighbors.ok());
+    std::erase_if(*neighbors,
+                  [i](const Neighbor& nb) { return nb.index == i; });
+    neighbors->resize(kk);
     size_t votes = 0;
-    for (size_t t = 0; t < kk; ++t) votes += (labels[sims[t].second] == 1);
+    for (const Neighbor& nb : *neighbors) votes += (labels[nb.index] == 1);
     const int predicted = 2 * votes >= kk ? 1 : 0;
     correct += (predicted == labels[i]);
   }

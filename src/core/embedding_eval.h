@@ -29,7 +29,9 @@ EmbeddingQuality EvaluateEmbeddings(const Matrix& embeddings,
                                     const std::vector<int>& labels);
 
 /// Leave-one-out k-nearest-neighbor accuracy under cosine similarity —
-/// the standard proxy for retrieval quality of a metric space.
+/// the standard proxy for retrieval quality of a metric space. Neighbours
+/// come from one EmbeddingIndex over `embeddings`, so a tie goes to the
+/// lower row index, and a vote split evenly predicts class 1.
 double KnnAccuracy(const Matrix& embeddings, const std::vector<int>& labels,
                    size_t k = 5);
 

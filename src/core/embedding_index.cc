@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/arena.h"
-#include "common/threading.h"
+#include "tensor/ops.h"
 
 namespace rll::core {
 
 namespace {
 
-// Corpora smaller than this many multiply-adds score serially: below it the
-// ParallelFor dispatch overhead exceeds the scan itself (same calibration
-// family as the row-kernel grains in tensor/ops.cc).
-constexpr size_t kQueryGrainFlops = size_t{1} << 13;
-
-void NormalizeRowInPlace(double* row, size_t cols) {
+void NormalizeRow(double* row, size_t cols) {
   double norm = 0.0;
   for (size_t c = 0; c < cols; ++c) norm += row[c] * row[c];
   norm = std::max(std::sqrt(norm), 1e-12);
@@ -24,14 +20,30 @@ void NormalizeRowInPlace(double* row, size_t cols) {
 
 }  // namespace
 
-Status EmbeddingIndex::Build(const Matrix& embeddings) {
+void NormalizeRows(Matrix& m) {
+  for (size_t r = 0; r < m.rows(); ++r) NormalizeRow(m.row_data(r), m.cols());
+}
+
+void KeepTopK(std::vector<Neighbor>& pool, size_t k) {
+  const size_t kk = std::min(k, pool.size());
+  // partial_sort is not stable, so the index tie-break is what makes two
+  // equal similarities come back in one order.
+  std::partial_sort(pool.begin(), pool.begin() + static_cast<long>(kk),
+                    pool.end(), [](const Neighbor& a, const Neighbor& b) {
+                      if (a.similarity != b.similarity) {
+                        return a.similarity > b.similarity;
+                      }
+                      return a.index < b.index;
+                    });
+  pool.resize(kk);
+}
+
+Status EmbeddingIndex::Build(Matrix embeddings) {
   if (embeddings.rows() == 0 || embeddings.cols() == 0) {
     return Status::InvalidArgument("cannot index an empty corpus");
   }
-  corpus_ = embeddings;
-  for (size_t r = 0; r < corpus_.rows(); ++r) {
-    NormalizeRowInPlace(corpus_.row_data(r), corpus_.cols());
-  }
+  NormalizeRows(embeddings);
+  corpus_ = std::move(embeddings);
   return Status::OK();
 }
 
@@ -42,15 +54,13 @@ Result<size_t> EmbeddingIndex::Add(const Matrix& embedding) {
   if (!empty() && embedding.cols() != dim()) {
     return Status::InvalidArgument("dimension mismatch with corpus");
   }
-  Matrix grown(corpus_.rows() + 1,
-               empty() ? embedding.cols() : corpus_.cols());
-  for (size_t r = 0; r < corpus_.rows(); ++r) {
-    grown.SetRow(r, corpus_.Row(r));
-  }
-  grown.SetRow(corpus_.rows(), embedding.Row(0));
-  NormalizeRowInPlace(grown.row_data(corpus_.rows()), grown.cols());
-  corpus_ = std::move(grown);
-  return corpus_.rows() - 1;
+  // Reshape keeps the row-major prefix, so the corpus rows stay in place
+  // and only the new row is written.
+  const size_t row = corpus_.rows();
+  corpus_.Reshape(row + 1, embedding.cols());
+  std::copy_n(embedding.data(), embedding.cols(), corpus_.row_data(row));
+  NormalizeRow(corpus_.row_data(row), corpus_.cols());
+  return row;
 }
 
 Result<std::vector<Neighbor>> EmbeddingIndex::Query(const Matrix& query,
@@ -61,57 +71,26 @@ Result<std::vector<Neighbor>> EmbeddingIndex::Query(const Matrix& query,
   }
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
 
-  // Per-thread scratch: the normalized query copy and the full score
-  // buffer used to allocate on every call — the hottest allocation on the
-  // neighbors path (BM_EmbeddingIndexQuery pins the win). Copy-assignment
-  // reuses capacity, and ArenaPause keeps both heap-backed so a caller's
-  // ArenaScope can never reclaim them out from under the thread.
+  // Per-thread scratch for the normalized query, the score column and the
+  // ranking pool, so a steady-state query allocates only its result
+  // (BM_EmbeddingIndexQuery pins that). Assignment and Gemm's Reshape
+  // reuse capacity, and ArenaPause keeps the buffers heap-backed so a
+  // caller's ArenaScope can never reclaim them out from under the thread.
   ArenaPause pause;
-  thread_local Matrix q_scratch;
-  thread_local std::vector<Neighbor> score_scratch;
-  // Automatic-storage references so the ParallelFor lambda captures THIS
-  // thread's scratch: thread_locals named directly inside the lambda would
-  // resolve to each worker's own (empty) instances.
-  Matrix& q = q_scratch;
-  std::vector<Neighbor>& all = score_scratch;
+  thread_local Matrix q;
+  thread_local Matrix scores;
+  thread_local std::vector<Neighbor> pool;
   q = query;
-  NormalizeRowInPlace(q.row_data(0), q.cols());
-
-  // Score corpus rows in parallel. Each slot is written by exactly one
-  // chunk and each dot product folds left-to-right over one row, so the
-  // similarities are bitwise identical at any thread count.
-  all.assign(corpus_.rows(), Neighbor{});
-  const size_t cols = corpus_.cols();
-  const size_t total_flops = corpus_.rows() * cols;
-  const size_t grain = (GlobalThreadCount() > 1 &&
-                        total_flops >= kQueryGrainFlops)
-                           ? std::max<size_t>(kQueryGrainFlops / cols, 1)
-                           : corpus_.rows();
-  ParallelFor(0, corpus_.rows(), grain, [&](size_t lo, size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      const double* row = corpus_.row_data(r);
-      double dot = 0.0;
-      for (size_t c = 0; c < cols; ++c) dot += row[c] * q(0, c);
-      all[r] = {r, dot};
-    }
-  });
-  const size_t kk = std::min(k, all.size());
-  // Strict total order (similarity desc, index asc): partial_sort is not
-  // stable, so without the index tie-break two equal similarities could
-  // come back in either order — and the sharded merge
-  // (core/sharded_index.h) needs one canonical ranking to be bitwise
-  // identical to this scan at any shard count.
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(kk),
-                    all.end(), [](const Neighbor& a, const Neighbor& b) {
-                      if (a.similarity != b.similarity) {
-                        return a.similarity > b.similarity;
-                      }
-                      return a.index < b.index;
-                    });
-  // Small k-sized copy out of the scratch buffer: the result crosses the
-  // call boundary, so it must own its storage.
-  return std::vector<Neighbor>(all.begin(),
-                               all.begin() + static_cast<long>(kk));
+  NormalizeRows(q);
+  // scores = corpus · q̂ᵀ, one n×1 column: row r is the cosine with corpus
+  // row r. The corpus stays row-major, so Add needs no re-layout.
+  Gemm(corpus_, false, q, true, scores);
+  pool.resize(corpus_.rows());
+  for (size_t r = 0; r < pool.size(); ++r) pool[r] = {r, scores[r]};
+  KeepTopK(pool, k);
+  // The result crosses the call boundary, so it is a k-sized copy of the
+  // scratch pool rather than the pool itself.
+  return pool;
 }
 
 }  // namespace rll::core

@@ -27,7 +27,7 @@ Status ShardedEmbeddingIndex::Build(const Matrix& embeddings,
     Matrix slice(count, cols);
     std::memcpy(slice.data(), embeddings.row_data(start),
                 count * cols * sizeof(double));
-    RLL_RETURN_IF_ERROR(built[s].Build(slice));
+    RLL_RETURN_IF_ERROR(built[s].Build(std::move(slice)));
     start += count;
   }
   offsets[shards] = rows;
@@ -48,8 +48,8 @@ Result<std::vector<Neighbor>> ShardedEmbeddingIndex::Query(
 
   // Gather each shard's local top-k (global top-k rows are necessarily in
   // their own shard's top-k), lift local row numbers to corpus indices,
-  // then rank the candidate pool by the same strict total order the
-  // per-shard scans used. The pool holds at most shards*k entries.
+  // then rank the candidate pool by the same KeepTopK order the per-shard
+  // queries used. The pool holds at most shards*k entries.
   std::vector<Neighbor> candidates;
   candidates.reserve(shards_.size() * std::min(k, size()));
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -60,17 +60,7 @@ Result<std::vector<Neighbor>> ShardedEmbeddingIndex::Query(
       candidates.push_back(n);
     }
   }
-  const size_t kk = std::min(k, size());
-  std::partial_sort(candidates.begin(),
-                    candidates.begin() + static_cast<long>(kk),
-                    candidates.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      if (a.similarity != b.similarity) {
-                        return a.similarity > b.similarity;
-                      }
-                      return a.index < b.index;
-                    });
-  candidates.resize(kk);
+  KeepTopK(candidates, k);
   return candidates;
 }
 

@@ -6,14 +6,16 @@
 // The merge is bitwise-identical to one unsharded scan at ANY shard count:
 //   * every similarity is computed from exactly one corpus row with the
 //     same left-to-right fold order regardless of which shard holds it, and
-//   * both the per-shard selection and the merge rank by the strict total
-//     order (similarity descending, corpus index ascending), so the top-k
-//     set and its order are unique — no tie can resolve differently when
-//     the shard boundaries move.
+//   * both the per-shard selection and the merge rank with KeepTopK
+//     (similarity descending, corpus index ascending), so the top-k set
+//     and its order are unique — no tie can resolve differently when the
+//     shard boundaries move.
 //
-// This is the serving-plane layout: each event-loop shard worker owns one
-// shard's scan locally, and a neighbors request anywhere merges N small
-// top-k lists instead of rescanning one monolithic corpus.
+// Query scans the shards one after another on the calling thread, so
+// sharding does not split one query's work across threads: each shard's
+// Gemm does that alone, above Gemm's serial floor. The serving plane
+// builds one shard per event-loop worker only so that the partition
+// follows --shards.
 
 #ifndef RLL_CORE_SHARDED_INDEX_H_
 #define RLL_CORE_SHARDED_INDEX_H_

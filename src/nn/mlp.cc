@@ -127,10 +127,11 @@ ag::Var Mlp::ForwardTrain(const ag::Var& x, Rng* rng) const {
 }
 
 Matrix Mlp::Embed(const Matrix& x) const {
-  // Thin wrapper: run the workspace path against per-thread buffers and
-  // hand back a copy the caller owns. Call sites that want the copy
-  // elided (the serve batcher) pass their own workspace to EmbedInto.
-  thread_local Workspace ws;
+  // Thin wrapper: run the workspace path against buffers that die with
+  // the call and hand back a copy the caller owns, so embedding a large
+  // corpus leaves nothing behind. Call sites that embed again and again
+  // (the serve batcher) pass their own workspace to EmbedInto.
+  Workspace ws;
   return EmbedInto(x, ws);
 }
 

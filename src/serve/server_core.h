@@ -57,8 +57,10 @@ struct ServerCoreOptions {
   /// k used by neighbors requests that do not pass one.
   size_t default_k = 5;
   /// Contiguous shards the retrieval index is split into (clamped to the
-  /// corpus size). Mirrors the event plane's worker count; `neighbors`
-  /// results are bitwise identical at any value (core/sharded_index.h).
+  /// corpus size). Mirrors the event plane's worker count, but a
+  /// `neighbors` query still scans every shard in turn on the thread that
+  /// handles it; results are bitwise identical at any value
+  /// (core/sharded_index.h).
   size_t shards = 1;
   /// Trace sampling: every Nth request gets linked "name:id" spans down
   /// the whole pipeline and its id echoed as "trace_id". 0 disables

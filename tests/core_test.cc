@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <set>
+#include <vector>
 
 #include "autograd/gradcheck.h"
 #include "common/threading.h"
@@ -347,6 +349,16 @@ TEST(EmbeddingEvalTest, RandomEmbeddingsHaveNoMargin) {
   EXPECT_NEAR(KnnAccuracy(emb, labels, 5), 0.5, 0.2);
 }
 
+TEST(EmbeddingEvalTest, KnnTiesGoToTheLowerIndex) {
+  // Rows 0-2 are one point, so each one's 1-NN ties between the other
+  // two; for rows 1 and 2 those two have different labels. Rows 3-4 are
+  // another point. With ties to the lower index rows 0-2 predict 0, 1, 1
+  // and all miss (0.4 overall); ties to the higher index would give 0.8.
+  const Matrix emb = {{1, 0}, {1, 0}, {1, 0}, {-1, 0}, {-1, 0}};
+  const std::vector<int> labels = {1, 0, 0, 1, 1};
+  EXPECT_DOUBLE_EQ(KnnAccuracy(emb, labels, 1), 0.4);
+}
+
 TEST(EmbeddingEvalTest, TrainingImprovesIntrinsicQuality) {
   Rng rng(41);
   data::Dataset d = SmallAnnotatedDataset(&rng);
@@ -426,27 +438,51 @@ TEST(EmbeddingIndexTest, AddGrowsCorpus) {
 }
 
 TEST(EmbeddingIndexTest, QueryIdenticalAcrossThreadCounts) {
-  // Corpus large enough to cross the parallel-scan threshold, so threads 2
-  // and 4 actually exercise the ParallelFor path.
+  // 16,384 × 32 multiply-adds are past Gemm's serial floor, so threads 2
+  // and 4 split the scan over the pool. Every similarity must equal a
+  // naive left-to-right dot over the normalized rows, bit for bit, ranked
+  // by (similarity desc, index asc).
+  constexpr size_t kRows = 16384, kDim = 32;
   Rng rng(44);
-  Matrix corpus = RandomNormal(1024, 16, &rng);
+  const Matrix corpus = RandomNormal(kRows, kDim, &rng);
+  const Matrix query = RandomNormal(1, kDim, &rng);
+  auto unit = [](const double* row) {
+    std::vector<double> out(row, row + kDim);
+    double norm = 0.0;
+    for (double v : out) norm += v * v;
+    norm = std::max(std::sqrt(norm), 1e-12);
+    for (double& v : out) v /= norm;
+    return out;
+  };
+  const std::vector<double> q = unit(query.data());
+  std::vector<Neighbor> expected(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    const std::vector<double> row = unit(corpus.row_data(r));
+    double dot = 0.0;
+    for (size_t c = 0; c < kDim; ++c) dot += row[c] * q[c];
+    expected[r] = {r, dot};
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              if (a.similarity != b.similarity) {
+                return a.similarity > b.similarity;
+              }
+              return a.index < b.index;
+            });
+
   EmbeddingIndex index;
   ASSERT_TRUE(index.Build(corpus).ok());
-  const Matrix query = RandomNormal(1, 16, &rng);
-
-  SetGlobalThreads(1);
-  auto serial = index.Query(query, 10);
-  ASSERT_TRUE(serial.ok());
-  for (size_t threads : {2u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u}) {
     SetGlobalThreads(threads);
-    auto parallel = index.Query(query, 10);
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_EQ(parallel->size(), serial->size());
-    for (size_t i = 0; i < serial->size(); ++i) {
-      EXPECT_EQ((*parallel)[i].index, (*serial)[i].index);
-      // Bitwise, not approximate: the parallel scan must not change the
-      // per-row accumulation order.
-      EXPECT_EQ((*parallel)[i].similarity, (*serial)[i].similarity);
+    auto got = index.Query(query, kRows);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->size(), kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      ASSERT_EQ((*got)[i].index, expected[i].index)
+          << "threads " << threads << " rank " << i;
+      // Bitwise, not approximate.
+      ASSERT_EQ((*got)[i].similarity, expected[i].similarity)
+          << "threads " << threads << " rank " << i;
     }
   }
   SetGlobalThreads(0);

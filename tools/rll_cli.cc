@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -54,6 +55,7 @@
 #include "baselines/label_source.h"
 #include "classify/metrics.h"
 #include "classify/ranking_metrics.h"
+#include "common/check.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -98,10 +100,16 @@ struct Args {
     if (it != flags.end() && !ParseDouble(it->second, &v)) return fallback;
     return v;
   }
+  /// An integer flag, or `fallback` when it is absent. Parse has checked
+  /// the value against IntFlagMinimums, so a cast to size_t of a count
+  /// flag cannot wrap.
   int64_t GetInt(const std::string& key, int64_t fallback) const {
     auto it = flags.find(key);
     int64_t v = fallback;
-    if (it != flags.end() && !ParseInt(it->second, &v)) return fallback;
+    if (it != flags.end()) {
+      RLL_CHECK_MSG(ParseInt(it->second, &v),
+                    "integer flag missing from IntFlagMinimums");
+    }
     return v;
   }
   bool Has(const std::string& key) const { return flags.count(key) > 0; }
@@ -177,6 +185,27 @@ const std::map<std::string, std::set<std::string>>& CommandFlags() {
   return flags;
 }
 
+// Every integer flag and the least value it takes. Parse rejects a value
+// that is not an integer or is below its minimum before any command reads
+// a file or starts a thread: a negative count would otherwise wrap to
+// 2^64 - 1 when cast to size_t.
+const std::map<std::string, int64_t>& IntFlagMinimums() {
+  static const std::map<std::string, int64_t> minimums = {
+      {"batch-timeout-us", 0}, {"cache-size", 0},
+      {"count", 0},            {"epochs", 1},
+      {"folds", 2},            {"groups", 1},
+      {"interval-ms", 0},      {"k", 1},
+      {"k-negatives", 1},      {"max-batch", 1},
+      {"max-connections", 1},  {"max-queue", 1},
+      {"port", 0},             {"profile-hz", 1},
+      {"query", 0},            {"seed", INT64_MIN},
+      {"shards", 1},           {"threads", 0},
+      {"trace-sample", 0},     {"votes", 1},
+      {"watch-bundle", 0},     {"workers", 1},
+  };
+  return minimums;
+}
+
 Result<Args> Parse(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   Args args;
@@ -198,7 +227,23 @@ Result<Args> Parse(int argc, char** argv) {
       return Status::InvalidArgument("unknown flag --" + name +
                                      " for command '" + args.command + "'");
     }
-    args.flags[name] = argv[++i];
+    const std::string value = argv[++i];
+    const auto minimum = IntFlagMinimums().find(name);
+    if (minimum != IntFlagMinimums().end()) {
+      int64_t v = 0;
+      if (!ParseInt(value, &v)) {
+        return Status::InvalidArgument("--" + name +
+                                       " wants an integer, got '" + value +
+                                       "'");
+      }
+      if (v < minimum->second) {
+        return Status::InvalidArgument(StrFormat(
+            "--%s must be >= %lld, got %lld", name.c_str(),
+            static_cast<long long>(minimum->second),
+            static_cast<long long>(v)));
+      }
+    }
+    args.flags[name] = value;
   }
   return args;
 }
@@ -688,7 +733,7 @@ int RunRetrieve(const Args& args) {
     return 1;
   }
   const int64_t query = args.GetInt("query", 0);
-  if (query < 0 || static_cast<size_t>(query) >= dataset->size()) {
+  if (static_cast<size_t>(query) >= dataset->size()) {
     std::fprintf(stderr, "--query out of range [0, %zu)\n", dataset->size());
     return 2;
   }
@@ -771,12 +816,9 @@ int RunServe(const Args& args) {
   core_options.trace_sample_every =
       static_cast<uint64_t>(args.GetInt("trace-sample", 0));
   const size_t shards = static_cast<size_t>(args.GetInt("shards", 1));
-  if (shards == 0) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
-  // One index shard per event-plane worker: the retrieval scan is split
-  // the same way the connections are.
+  // One index shard per event-plane worker. A neighbors query scans the
+  // shards one after another on the worker that handles it, so the count
+  // changes the partition, not the answer (core/sharded_index.h).
   core_options.shards = shards;
   auto server_core = serve::ServerCore::Create(std::move(*bundle), corpus_ptr,
                                                core_options, model_path);
@@ -791,7 +833,7 @@ int RunServe(const Args& args) {
   const long long watch_ms = args.GetInt("watch-bundle", 0);
   serve::ReloadManagerOptions reload_options;
   reload_options.watch_path = model_path;
-  reload_options.watch_interval_ms = watch_ms > 0 ? watch_ms : 0;
+  reload_options.watch_interval_ms = watch_ms;
   serve::ReloadManager reload_manager(core, reload_options);
   reload_manager.Start();
   core->SetReloadRequestHandler([&reload_manager](const std::string& path) {
