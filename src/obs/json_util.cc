@@ -1,5 +1,6 @@
 #include "obs/json_util.h"
 
+#include <charconv>
 #include <cmath>
 
 #include "common/strings.h"
@@ -37,9 +38,23 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
+void AppendJsonNumber(std::string* out, double value) {
+  if (!std::isfinite(value)) {
+    out->append("null");
+    return;
+  }
+  // std::to_chars with a precision formats as printf's %.17g does; the
+  // longest result, "-2.2250738585072014e-308", is 24 characters.
+  char buf[32];
+  const std::to_chars_result written = std::to_chars(
+      buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  out->append(buf, written.ptr);
+}
+
 std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  return StrFormat("%.17g", value);
+  std::string out;
+  AppendJsonNumber(&out, value);
+  return out;
 }
 
 }  // namespace rll::obs

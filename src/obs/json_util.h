@@ -1,6 +1,7 @@
-// Tiny JSON emission helpers shared by the metrics and trace exporters.
-// Emission only — parsing stays out of the library; the exporters produce
-// machine-readable output, they never consume it.
+// Tiny JSON emission helpers shared by the metrics and trace exporters and
+// the serving protocol's response writer. Emission only — parsing stays out
+// of the library's lower layers; these exporters produce machine-readable
+// output, they never consume it.
 
 #ifndef RLL_OBS_JSON_UTIL_H_
 #define RLL_OBS_JSON_UTIL_H_
@@ -14,8 +15,13 @@ namespace rll::obs {
 /// included): backslash, quote, and control characters.
 std::string JsonEscape(std::string_view s);
 
-/// Formats a double as a JSON number: finite values via %.17g (round-trip
-/// exact), NaN/Inf as null (JSON has no literal for them).
+/// Appends a double as a JSON number: a finite value as the 17 significant
+/// digits %.17g would print (round-trip exact), written by std::to_chars
+/// without printf or a temporary string; NaN/Inf as null (JSON has no
+/// literal for them).
+void AppendJsonNumber(std::string* out, double value);
+
+/// AppendJsonNumber into a fresh string.
 std::string JsonNumber(double value);
 
 }  // namespace rll::obs

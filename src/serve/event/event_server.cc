@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -351,39 +352,42 @@ void EventServer::AdoptIntake(Worker* worker,
 
 bool EventServer::ProcessFrames(Worker* worker, int fd, Connection* conn) {
   (void)fd;
-  std::string& buf = conn->read_buf;
+  // Each line is a view into read_buf, which nothing below touches until
+  // the consumed prefix is erased; answers are appended to write_buf in
+  // place.
+  const std::string_view buf = conn->read_buf;
   size_t start = 0;
-  for (size_t nl = buf.find('\n', start); nl != std::string::npos;
+  for (size_t nl = buf.find('\n', start); nl != std::string_view::npos;
        nl = buf.find('\n', start)) {
-    std::string line = buf.substr(start, nl - start);
+    std::string_view line = buf.substr(start, nl - start);
     start = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.find_first_not_of(" \t") == std::string_view::npos) continue;
     if (line.size() > options_.max_line_bytes) {
-      buf.erase(0, start);
-      conn->write_buf += SerializeResponse(MakeErrorResponse(
-                             "", ServeError::kBadRequest,
-                             "request line exceeds 1 MiB")) +
-                         "\n";
-      conn->close_after_flush = true;
-      conn->read_paused = true;
+      conn->read_buf.erase(0, start);
+      RejectOversizedLine(conn);
       return false;
     }
-    conn->write_buf += core_->HandleLine(line) + "\n";
+    core_->HandleLine(line, &conn->write_buf);
+    conn->write_buf.push_back('\n');
     worker->lines_handled.fetch_add(1, std::memory_order_relaxed);
   }
-  buf.erase(0, start);
+  conn->read_buf.erase(0, start);
   // A partial line past the cap will never grow a terminator we accept.
-  if (buf.size() > options_.max_line_bytes) {
-    conn->write_buf += SerializeResponse(MakeErrorResponse(
-                           "", ServeError::kBadRequest,
-                           "request line exceeds 1 MiB")) +
-                       "\n";
-    conn->close_after_flush = true;
-    conn->read_paused = true;
+  if (conn->read_buf.size() > options_.max_line_bytes) {
+    RejectOversizedLine(conn);
     return false;
   }
   return true;
+}
+
+void EventServer::RejectOversizedLine(Connection* conn) {
+  AppendResponse(MakeErrorResponse("", ServeError::kBadRequest,
+                                   "request line exceeds 1 MiB"),
+                 &conn->write_buf);
+  conn->write_buf.push_back('\n');
+  conn->close_after_flush = true;
+  conn->read_paused = true;
 }
 
 bool EventServer::OnReadable(Worker* worker, int fd, Connection* conn) {
@@ -411,7 +415,8 @@ bool EventServer::OnReadable(Worker* worker, int fd, Connection* conn) {
     // A final unterminated line still gets an answer (nc-without-newline),
     // delivered through the flush path before the close.
     if (!conn->read_buf.empty() && !IsBlank(conn->read_buf)) {
-      conn->write_buf += core_->HandleLine(conn->read_buf) + "\n";
+      core_->HandleLine(conn->read_buf, &conn->write_buf);
+      conn->write_buf.push_back('\n');
       worker->lines_handled.fetch_add(1, std::memory_order_relaxed);
       conn->read_buf.clear();
     }

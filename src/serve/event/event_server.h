@@ -144,6 +144,9 @@ class EventServer {
   /// Frames and handles every complete line currently in read_buf.
   /// Returns false on a line-cap breach (error queued, close pending).
   bool ProcessFrames(Worker* worker, int fd, Connection* conn);
+  /// Queues the bad_request for a line past `max_line_bytes` and marks the
+  /// connection to close once it is flushed.
+  void RejectOversizedLine(Connection* conn);
   void UpdateEpoll(Worker* worker, int fd, const Connection& conn);
   void CloseConnection(Worker* worker, int fd,
                        std::map<int, Connection>* conns);

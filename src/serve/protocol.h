@@ -41,14 +41,18 @@
 //
 // "id" is optional and echoed verbatim (number or string); it lets clients
 // pipeline requests on one connection. Malformed input yields a structured
-// error response, never a disconnect. Doubles are emitted with %.17g
-// (obs::JsonNumber), so embeddings round-trip bit-exactly through the
-// protocol.
+// error response, never a disconnect. Doubles go out as the 17
+// significant digits %.17g prints, written by std::to_chars
+// (obs::AppendJsonNumber), and come in through std::from_chars
+// (serve/json.h), so embeddings round-trip bit-exactly through the
+// protocol. An incoming number that underflows reads as a zero of its
+// sign, as strtod reads it; one past double's range is a bad_request.
 
 #ifndef RLL_SERVE_PROTOCOL_H_
 #define RLL_SERVE_PROTOCOL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -148,12 +152,19 @@ struct Response {
   std::string message;                       // when !ok
 };
 
-/// Parses one request line. On failure returns a non-OK status and — when
-/// the line was at least valid JSON with an "id" member — leaves the
-/// serialized id in *id_json so the error response can still echo it.
-Result<Request> ParseRequest(const std::string& line, std::string* id_json);
+/// Parses one request line straight off the JSON tokenizer: no tree, and
+/// "features" lands in Request::features as it is read. The whole line's
+/// syntax is checked before any member is judged; a duplicate key's last
+/// value wins. On failure returns a non-OK status and — when the line was
+/// at least valid JSON with an "id" member — leaves the serialized id in
+/// *id_json so the error response can still echo it.
+Result<Request> ParseRequest(std::string_view line, std::string* id_json);
 
-/// One-line JSON serialization (no trailing newline).
+/// Appends the response's one-line JSON serialization (no trailing
+/// newline) to *out.
+void AppendResponse(const Response& response, std::string* out);
+
+/// AppendResponse into a fresh string.
 std::string SerializeResponse(const Response& response);
 
 Response MakeErrorResponse(const std::string& id_json, ServeError error,

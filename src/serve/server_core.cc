@@ -18,21 +18,21 @@ namespace rll::serve {
 
 namespace {
 
-/// Request counter + latency histogram per (type, status) resolved on the
-/// fly: the registry lookup takes a lock, but request handling already
-/// crosses the batcher's mutex and a future, so one map lookup is noise.
-void RecordRequest(const char* type, const char* status, double millis,
-                   uint64_t trace_id) {
-  auto& registry = obs::MetricRegistry::Global();
-  registry
-      .GetCounter("serve_requests_total",
-                  {{"type", type}, {"status", status}})
-      ->Increment();
-  // Trace-sampled requests stamp their id as the latency bucket's
-  // exemplar, so metricsz can point at one concrete traced request per
-  // bucket (trace_id 0 degrades to a plain Observe).
-  registry.GetHistogram("serve_request_latency_ms", {{"type", type}})
-      ->ObserveWithExemplar(millis, trace_id);
+/// Names of the serve_requests_total / serve_request_latency_ms series
+/// rows and columns (see ServerCore::RecordRequest).
+const char* SeriesTypeName(size_t type) {
+  return type == ServerCore::kUnparsedType
+             ? "unknown"
+             : RequestTypeName(static_cast<RequestType>(type));
+}
+
+const char* SeriesStatusName(size_t status) {
+  return status == 0 ? "ok"
+                     : ServeErrorName(static_cast<ServeError>(status - 1));
+}
+
+size_t SeriesStatus(bool ok, ServeError error) {
+  return ok ? 0 : 1 + static_cast<size_t>(error);
 }
 
 /// Data-plane request types index windowed_latency_by_type_.
@@ -285,9 +285,8 @@ Response ServerCore::Handle(const Request& request) {
   Response response = HandleInternal(request, *st, trace_id);
   if (sampled) response.trace_id = request_id;
   const double millis = timer.ElapsedMillis();
-  const char* status =
-      response.ok ? "ok" : ServeErrorName(response.error);
-  RecordRequest(RequestTypeName(request.type), status, millis,
+  RecordRequest(static_cast<size_t>(request.type),
+                SeriesStatus(response.ok, response.error), millis,
                 sampled ? request_id : 0);
   if (!IsAdminRequest(request.type)) {
     windowed_requests_.Increment();
@@ -649,16 +648,50 @@ std::string ServerCore::MetricszPayload() {
   return out;
 }
 
-std::string ServerCore::HandleLine(const std::string& line) {
+void ServerCore::RecordRequest(size_t type, size_t status, double millis,
+                               uint64_t trace_id) {
+  auto& registry = obs::MetricRegistry::Global();
+  std::atomic<obs::Counter*>& counter_slot = request_counters_[type][status];
+  obs::Counter* counter = counter_slot.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    counter = registry.GetCounter(
+        "serve_requests_total",
+        {{"type", SeriesTypeName(type)}, {"status", SeriesStatusName(status)}});
+    counter_slot.store(counter, std::memory_order_release);
+  }
+  counter->Increment();
+  std::atomic<obs::Histogram*>& latency_slot = request_latency_[type];
+  obs::Histogram* latency = latency_slot.load(std::memory_order_acquire);
+  if (latency == nullptr) {
+    latency = registry.GetHistogram("serve_request_latency_ms",
+                                    {{"type", SeriesTypeName(type)}});
+    latency_slot.store(latency, std::memory_order_release);
+  }
+  // Trace-sampled requests stamp their id as the latency bucket's
+  // exemplar, so metricsz can point at one concrete traced request per
+  // bucket (trace_id 0 degrades to a plain Observe).
+  latency->ObserveWithExemplar(millis, trace_id);
+}
+
+void ServerCore::HandleLine(std::string_view line, std::string* out) {
   std::string id_json;
   Result<Request> request = ParseRequest(line, &id_json);
   if (!request.ok()) {
-    RecordRequest("unknown", ServeErrorName(ServeError::kBadRequest), 0.0,
+    RecordRequest(kUnparsedType,
+                  SeriesStatus(/*ok=*/false, ServeError::kBadRequest), 0.0,
                   /*trace_id=*/0);
-    return SerializeResponse(MakeErrorResponse(
-        id_json, ServeError::kBadRequest, request.status().message()));
+    AppendResponse(MakeErrorResponse(id_json, ServeError::kBadRequest,
+                                     request.status().message()),
+                   out);
+    return;
   }
-  return SerializeResponse(Handle(*request));
+  AppendResponse(Handle(*request), out);
+}
+
+std::string ServerCore::HandleLine(const std::string& line) {
+  std::string out;
+  HandleLine(line, &out);
+  return out;
 }
 
 void ServerCore::Shutdown() {

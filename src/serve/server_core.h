@@ -35,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "classify/logistic_regression.h"
@@ -47,6 +48,11 @@
 #include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
+
+namespace rll::obs {
+class Counter;
+class Histogram;
+}  // namespace rll::obs
 
 namespace rll::serve {
 
@@ -96,9 +102,13 @@ class ServerCore {
   /// false` responses so transports have exactly one write path.
   Response Handle(const Request& request);
 
-  /// Wire entry point: parses one protocol line, handles it, serializes
-  /// the response (no trailing newline). Parse errors yield a structured
-  /// bad_request response, never an empty string.
+  /// Wire entry point: parses one protocol line, handles it, and appends
+  /// the serialized response (no trailing newline) to *out — the event
+  /// plane passes a view into the connection's read buffer and its write
+  /// buffer. Parse errors yield a structured bad_request response, never
+  /// nothing.
+  void HandleLine(std::string_view line, std::string* out);
+  /// HandleLine into a fresh string.
   std::string HandleLine(const std::string& line);
 
   /// Graceful shutdown: drains every queued request through the batcher,
@@ -181,6 +191,15 @@ class ServerCore {
   /// Per-type latency window; `type` must be a data-plane type.
   const obs::WindowedHistogram& windowed_latency(RequestType type) const;
 
+  /// The serve_requests_total / serve_request_latency_ms row of a line
+  /// that did not parse (type "unknown"); the rows before it are the
+  /// RequestType values.
+  static constexpr size_t kUnparsedType =
+      static_cast<size_t>(RequestType::kReloadz) + 1;
+  /// Columns of serve_requests_total: "ok", then each ServeError.
+  static constexpr size_t kSeriesStatuses =
+      static_cast<size_t>(ServeError::kInternal) + 2;
+
   /// Total requests minted so far (every Handle call, admin included).
   uint64_t requests_handled() const {
     return next_request_id_.load(std::memory_order_relaxed);
@@ -225,6 +244,13 @@ class ServerCore {
                           int64_t trace_id);
   Response HandleInternal(const Request& request, const ServingState& st,
                           int64_t trace_id);
+  /// Counts one request in serve_requests_total{type,status} and observes
+  /// its latency in serve_request_latency_ms{type}. `type` is a
+  /// RequestType value or kUnparsedType; `status` is 0 for "ok", else 1 +
+  /// the ServeError value. Each series is looked up in the registry on its
+  /// first request and kept, so it exports from then on, as before.
+  void RecordRequest(size_t type, size_t status, double millis,
+                     uint64_t trace_id);
   Response HandleAdmin(const Request& request);
   std::string HealthzPayload() const;
   std::string StatuszPayload() const;
@@ -257,6 +283,9 @@ class ServerCore {
 
   Stopwatch uptime_;
   std::atomic<uint64_t> next_request_id_{0};
+  std::atomic<obs::Counter*> request_counters_[kUnparsedType + 1]
+                                              [kSeriesStatuses] = {};
+  std::atomic<obs::Histogram*> request_latency_[kUnparsedType + 1] = {};
   obs::WindowedCounter windowed_requests_;
   std::unique_ptr<obs::WindowedHistogram> windowed_latency_all_;
   /// Indexed by RequestType value; data-plane types only.

@@ -1,9 +1,11 @@
-# Runs rll_cli with integer flags that are not integers or are below their
-# minimum, and expects each run to exit 2 with a message naming the flag.
-# Every run names files in a directory that does not exist, so a command
-# that got past flag parsing would fail to read or write them and exit 1
-# instead. Only negative, zero and non-numeric values are used: a large
-# positive --shards would start that many threads. Usage:
+# Runs rll_cli with flag values it must refuse — integer flags that are
+# not integers or are below their minimum, an --eta that is not a finite
+# number above 0, --votes above --workers, and --folds above the rows the
+# command loaded — and expects each run to exit 2 with a message naming
+# the flag. Every run but the --folds one names files in a directory that
+# does not exist, so a command that got past its flag checks would fail to
+# read or write them and exit 1 instead. Only small values are used: a
+# large positive --shards would start that many threads. Usage:
 #   cmake -DCLI=rll_cli -P check_cli_flags.cmake
 if(NOT DEFINED CLI OR "${CLI}" STREQUAL "")
   message(FATAL_ERROR "check_cli_flags: -DCLI=... is required")
@@ -47,7 +49,25 @@ set(cases
   "count=top|--port|1|--count|-1"
   "interval-ms=top|--port|1|--interval-ms|-1"
   "threads=${evaluate}|--threads|-1"
-  "profile-hz=${evaluate}|--profile-out|${missing}.folded|--profile-hz|0")
+  "profile-hz=${evaluate}|--profile-out|${missing}.folded|--profile-hz|0"
+  "eta=${evaluate}|--eta|abc"
+  "eta=${evaluate}|--eta|0"
+  "eta=${evaluate}|--eta|-1"
+  "eta=${evaluate}|--eta|nan"
+  "eta=${evaluate}|--eta|inf"
+  "votes=${synth}|--votes|30"
+  "votes=${synth}|--workers|3|--votes|4")
+# --folds is checked against the rows the command loads, so its case reads
+# real files: the oral preset's 880 rows, one fold too many.
+set(oral "${CMAKE_CURRENT_BINARY_DIR}/check_cli_flags_oral")
+execute_process(COMMAND "${CLI}" synth --preset oral --features ${oral}.csv
+    --annotations ${oral}_a.csv
+  OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE status)
+if(NOT status STREQUAL "0")
+  message(FATAL_ERROR "rll_cli synth failed (exit ${status}): ${err}")
+endif()
+list(APPEND cases
+  "folds=evaluate|--features|${oral}.csv|--annotations|${oral}_a.csv|--folds|881")
 set(failures "")
 foreach(case IN LISTS cases)
   string(FIND "${case}" "=" eq)
@@ -66,7 +86,7 @@ foreach(case IN LISTS cases)
 endforeach()
 if(failures)
   string(REPLACE ";" "\n" shown "${failures}")
-  message(FATAL_ERROR "rll_cli accepted a bad integer flag:\n${shown}")
+  message(FATAL_ERROR "rll_cli accepted a bad flag value:\n${shown}")
 endif()
 list(LENGTH cases count)
-message(STATUS "rll_cli rejected all ${count} bad integer flags with exit 2")
+message(STATUS "rll_cli rejected all ${count} bad flag values with exit 2")

@@ -510,7 +510,12 @@ constexpr char kTinyBody[] =
     "matrix 2 3\n1 2 3 4 5 6\nmatrix 1 3\n0 0 0\n";
 
 Result<ModelBundle> LoadText(const std::string& text) {
-  const std::string path = ::testing::TempDir() + "/bundle_text.ckpt";
+  // One file per test: ctest runs each test in its own process, in
+  // parallel, and a shared path lets one test load another's bundle.
+  const std::string path =
+      ::testing::TempDir() + "/bundle_text_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".ckpt";
   {
     std::ofstream f(path);
     f << text;

@@ -9,9 +9,11 @@
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -510,6 +512,99 @@ TEST(EventServerTest, SurvivesSplitFramesAndMalformedLines) {
   auto last = ParseJson(RecvLine(fd));
   ASSERT_TRUE(last.ok());
   EXPECT_EQ(last->Find("id")->number, 4.0);
+  ::close(fd);
+
+  server.Stop();
+  serve_thread.join();
+}
+
+/// Serves `stream` on a fresh core and server over one connection, sent
+/// whole (`chunk` 0) or in writes of `chunk` bytes, then half-closes and
+/// returns every byte answered before the server closed. statusz's
+/// uptime is the one field that moves between runs; it reads "T".
+std::string AnswerStream(const std::string& stream, size_t chunk) {
+  const data::Dataset corpus = TestCorpus();
+  auto core = MakeCore(&corpus);
+  EventServer server(EventServerOptions{}, core.get());
+  RLL_CHECK(server.Start().ok());
+  std::thread serve_thread([&] { RLL_CHECK(server.Serve().ok()); });
+  const int fd = ConnectLoopback(server.port());
+  // Without Nagle each write leaves as its own segment.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (chunk == 0) {
+    SendAll(fd, stream);
+  } else {
+    for (size_t at = 0; at < stream.size(); at += chunk) {
+      SendAll(fd, stream.substr(at, chunk));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string answered;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    answered.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  server.Stop();
+  serve_thread.join();
+  const std::string key = "\"uptime_s\":";
+  for (size_t at = answered.find(key); at != std::string::npos;
+       at = answered.find(key, at + 1)) {
+    const size_t begin = at + key.size();
+    const size_t end = answered.find_first_of(",}", begin);
+    answered.replace(begin, end - begin, "T");
+  }
+  return answered;
+}
+
+TEST(EventServerTest, AnswersDoNotDependOnHowTheStreamIsSplit) {
+  const std::string stream =
+      R"({"id":1,"type":"embed","features":[0.5,-1,2]})" "\n"
+      R"({"id":2,"type":"predict","features":[0.5,-1,2]})" "\r\n"
+      "\n"
+      "\r\n"
+      " \t \n"
+      R"({"id":"né\"3","type":"neighbors","features":[0.5,-1,2],)"
+      R"("k":2})" "\n"
+      "not json at all\n"
+      R"({"id":4,"type":"statusz"})" "\n"
+      R"({"id":5,"type":"embed","features":[1,2,3]})";
+  const std::string whole = AnswerStream(stream, 0);
+  // Six answers: blank lines get none, the malformed line gets a
+  // bad_request, and the unterminated last line is answered at EOF.
+  ASSERT_EQ(std::count(whole.begin(), whole.end(), '\n'), 6) << whole;
+  EXPECT_EQ(whole.find(R"({"id":1,"type":"embed","ok":true,)"), 0u);
+  EXPECT_NE(whole.find("{\"id\":\"n\xC3\xA9\\\"3\",\"type\":\"neighbors\""),
+            std::string::npos)
+      << whole;
+  EXPECT_NE(whole.find(R"({"ok":false,"error":"bad_request")"),
+            std::string::npos);
+  EXPECT_NE(whole.find(R"("uptime_s":T)"), std::string::npos);
+  EXPECT_NE(whole.find(R"({"id":5,"type":"embed","ok":true,)"),
+            std::string::npos);
+  EXPECT_EQ(AnswerStream(stream, 1), whole);
+  EXPECT_EQ(AnswerStream(stream, 7), whole);
+}
+
+TEST(EventServerTest, LinePastOneMebibyteIsRejectedAndClosed) {
+  auto core = MakeCore(nullptr);
+  EventServerOptions options;  // The default 1 MiB cap.
+  EventServer server(options, core.get());
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serve_thread([&] { ASSERT_TRUE(server.Serve().ok()); });
+
+  const int fd = ConnectLoopback(server.port());
+  // One byte past the cap, and no more: the server reads all of it before
+  // it answers and closes.
+  SendAll(fd, std::string(options.max_line_bytes + 1, 'x'));
+  EXPECT_EQ(RecvLine(fd),
+            R"({"ok":false,"error":"bad_request",)"
+            R"("message":"request line exceeds 1 MiB"})");
+  char ch = 0;
+  EXPECT_EQ(::recv(fd, &ch, 1, 0), 0);
   ::close(fd);
 
   server.Stop();

@@ -11,9 +11,16 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <limits>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +32,7 @@
 #include "core/rll_model.h"
 #include "data/dataset.h"
 #include "data/standardize.h"
+#include "obs/alloc_count.h"
 #include "obs/json_util.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
@@ -37,6 +45,7 @@
 #include "tensor/init.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "wire_reference.h"
 
 namespace rll::serve {
 namespace {
@@ -112,6 +121,75 @@ TEST(JsonTest, RoundTripsDoublesExactly) {
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed->number, value);
   }
+}
+
+TEST(JsonTest, NumberWritesPrintfsBytes) {
+  // JsonNumber writes through std::to_chars; the wire's bytes are the ones
+  // printf("%.17g") wrote before it, for every finite double.
+  std::vector<double> values = {
+      0.0, -0.0, 0.1, 1.0 / 3.0, 1e21, 1e-7, 123456789012345678.0,
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min()};
+  Rng rng(17);
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t bits = rng.Next();
+    values.push_back(std::bit_cast<double>(bits));
+    // The same mantissa with a zero exponent: a subnormal.
+    values.push_back(std::bit_cast<double>(bits & 0x800FFFFFFFFFFFFFull));
+  }
+  size_t checked = 0;
+  for (double value : values) {
+    if (!std::isfinite(value)) continue;
+    ASSERT_EQ(obs::JsonNumber(value), StrFormat("%.17g", value));
+    ++checked;
+  }
+  EXPECT_GT(checked, 150000u);
+  EXPECT_EQ(obs::JsonNumber(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(obs::JsonNumber(std::nan("")), "null");
+  std::string appended = "x";
+  obs::AppendJsonNumber(&appended, -0.0);
+  EXPECT_EQ(appended, "x-0");
+}
+
+TEST(JsonTest, UnderflowReadsAsASignedZeroAndOverflowFails) {
+  // strtod's answers, which the wire has always given: a value below half
+  // the smallest subnormal is a zero of its sign, even with 400 zeros and
+  // no exponent; a value past double's range fails, even with a negative
+  // exponent.
+  auto bits = [](std::string_view text) {
+    auto v = ParseJson(text);
+    EXPECT_TRUE(v.ok()) << text;
+    return v.ok() ? std::bit_cast<uint64_t>(v->number) : ~0ull;
+  };
+  EXPECT_EQ(bits("1e-400"), std::bit_cast<uint64_t>(0.0));
+  EXPECT_EQ(bits("-1e-400"), std::bit_cast<uint64_t>(-0.0));
+  EXPECT_EQ(bits("2.4703282292062327e-324"), std::bit_cast<uint64_t>(0.0));
+  EXPECT_EQ(bits("4.9e-324"), std::bit_cast<uint64_t>(
+                                  std::numeric_limits<double>::denorm_min()));
+  EXPECT_EQ(bits("0." + std::string(400, '0') + "1"),
+            std::bit_cast<uint64_t>(0.0));
+  EXPECT_EQ(bits("-0"), std::bit_cast<uint64_t>(-0.0));
+  EXPECT_EQ(bits("00012"), std::bit_cast<uint64_t>(12.0));
+  EXPECT_EQ(bits("1."), std::bit_cast<uint64_t>(1.0));
+  const std::vector<std::string> invalid = {
+      "1e999", "1" + std::string(400, '0') + "e-5", ".5", "1e", "1e+",
+      "1.5.2"};
+  for (const std::string& bad : invalid) {
+    auto v = ParseJson(bad);
+    ASSERT_FALSE(v.ok()) << bad;
+    EXPECT_EQ(v.status().message(), "json parse error at offset 0: invalid number")
+        << bad;
+  }
+  std::string id;
+  auto request =
+      ParseRequest(R"({"type":"embed","features":[1e-400,-1e-400,2]})", &id);
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_FALSE(std::signbit(request->features[0]));
+  EXPECT_TRUE(std::signbit(request->features[1]));
+  EXPECT_EQ(request->features[0], 0.0);
+  EXPECT_EQ(request->features[1], 0.0);
 }
 
 // ------------------------------------------------------------------ Cache
@@ -913,6 +991,214 @@ TEST(ServerCoreTest, TraceSamplerSelectsEveryNth) {
   EXPECT_EQ(core->Handle(EmbedRequest({1.0, 2.0, 3.0})).trace_id, 2u);
   EXPECT_EQ(core->Handle(EmbedRequest({1.0, 2.0, 3.0})).trace_id, 0u);
   EXPECT_EQ(core->Handle(EmbedRequest({1.0, 2.0, 3.0})).trace_id, 4u);
+}
+
+// ------------------------------------------------------------------ Wire
+
+/// The request lines of the golden test and the exact lines the server
+/// answered them with before numbers went through to_chars/from_chars.
+/// An empty answer marks an admin verb whose payload moves with uptime
+/// and load: only its envelope is pinned.
+struct GoldenExchange {
+  const char* request;
+  const char* response;
+};
+
+constexpr GoldenExchange kGoldenExchanges[] = {
+    {R"({"id":1,"type":"embed","features":[0.5,-1,2]})",
+     R"({"id":1,"type":"embed","ok":true,"embedding":[0.4557809085980441,)"
+     R"(0.43418730690765128,0.038780690424068787,0.21113629912822129]})"},
+    {R"({"id":2,"type":"predict","features":[0.5,-1,2]})",
+     R"({"id":2,"type":"predict","ok":true,"score":0.66206621190189952,)"
+     R"("label":1})"},
+    {R"({"id":3,"type":"neighbors","features":[0.5,-1,2],"k":3})",
+     R"({"id":3,"type":"neighbors","ok":true,"neighbors":[{"index":11,)"
+     R"("label":0,"similarity":0.29156903058792127},{"index":15,"label":0,)"
+     R"("similarity":0.27266383318898973},{"index":9,"label":0,)"
+     R"("similarity":0.23535930474974975}]})"},
+    {R"({"id":4,"type":"neighbors","features":[0.5,-1,2]})",
+     R"({"id":4,"type":"neighbors","ok":true,"neighbors":[{"index":11,)"
+     R"("label":0,"similarity":0.29156903058792127},{"index":15,"label":0,)"
+     R"("similarity":0.27266383318898973},{"index":9,"label":0,)"
+     R"("similarity":0.23535930474974975},{"index":19,"label":0,)"
+     R"("similarity":0.2278905523203574},{"index":5,"label":0,)"
+     R"("similarity":0.20768194655899058}]})"},
+    {R"({"id":5,"type":"healthz"})", ""},
+    {R"({"id":6,"type":"statusz"})", ""},
+    {R"({"id":"m","type":"metricsz"})", ""},
+    {R"({"id":8,"type":"profilez","action":"stop"})",
+     R"({"id":8,"type":"profilez","ok":true,"payload":{"action":"stop",)"
+     R"("running":false}})"},
+    {R"({"id":9,"type":"reloadz","action":"status"})",
+     R"({"id":9,"type":"reloadz","ok":true,"payload":{"action":"status",)"
+     R"("failures":0,"generation":1,"in_progress":false,"last_error":"",)"
+     R"("reloads":0,"source":""}})"},
+    // A syntax error echoes no id, even one that came before it.
+    {R"({"id":7,"type":"embed","features":[1,})",
+     R"({"ok":false,"error":"bad_request","message":"json parse error at )"
+     R"(offset 37: invalid number"})"},
+    {R"({"id":7,"type":"warp","features":[1,2,3]})",
+     R"({"id":7,"ok":false,"error":"bad_request","message":"unknown )"
+     R"(\"type\": warp"})"},
+    {R"({"id":true,"type":"embed","features":[0.5,-1,2]})",
+     R"({"ok":false,"error":"bad_request","message":"\"id\" must be a )"
+     R"(number or a string"})"},
+    {R"({"id":0.1,"type":"embed","features":[0.5,-1,2]})",
+     R"({"id":0.10000000000000001,"type":"embed","ok":true,"embedding":)"
+     R"([0.4557809085980441,0.43418730690765128,0.038780690424068787,)"
+     R"(0.21113629912822129]})"},
+    {"{\"id\":\"a\xC3\xA9\\\"b\\\\c\\n\\/\",\"type\":\"predict\","
+     "\"features\":[0.5,-1,2]}",
+     "{\"id\":\"a\xC3\xA9\\\"b\\\\c\\n/\",\"type\":\"predict\",\"ok\":true,"
+     "\"score\":0.66206621190189952,\"label\":1}"},
+    {R"({"id":10,"type":"embed","features":[1e-400,-1e-400,4.9e-324]})",
+     R"({"id":10,"type":"embed","ok":true,"embedding":)"
+     R"([-0.25078481258280461,0.29782279265682143,-0.28144205904491759,)"
+     R"(0.30565553514095378]})"},
+    {R"({"id":11,"type":"embed","features":[1,2]})",
+     R"({"id":11,"ok":false,"error":"bad_request","message":"expected 3 )"
+     R"(features, got 2"})"},
+};
+
+TEST(WireGoldenTest, ResponsesKeepEveryByte) {
+  const data::Dataset corpus = TestCorpus();
+  auto core = MakeCore(&corpus);
+  std::string appended = "earlier answer\n";
+  for (const GoldenExchange& exchange : kGoldenExchanges) {
+    const std::string response = core->HandleLine(exchange.request);
+    const std::string want = exchange.response;
+    if (!want.empty()) {
+      EXPECT_EQ(response, want) << exchange.request;
+    } else {
+      // Admin envelope: the id, type and ok, then the payload object.
+      auto request = ParseJson(exchange.request);
+      ASSERT_TRUE(request.ok());
+      std::string envelope = "{\"id\":";
+      const JsonValue* id = request->Find("id");
+      envelope += id->is_string() ? "\"" + id->string + "\""
+                                  : obs::JsonNumber(id->number);
+      envelope += ",\"type\":\"" + request->Find("type")->string +
+                  "\",\"ok\":true,\"payload\":{";
+      EXPECT_EQ(response.substr(0, envelope.size()), envelope);
+      EXPECT_EQ(response.substr(response.size() - 2), "}}");
+      EXPECT_TRUE(ParseJson(response).ok()) << response;
+    }
+    // The appending form writes the same bytes after what the buffer
+    // already holds.
+    if (!want.empty()) {
+      const size_t before = appended.size();
+      core->HandleLine(std::string_view(exchange.request), &appended);
+      EXPECT_EQ(appended.substr(before), want);
+    }
+  }
+
+  ServerCoreOptions traced;
+  traced.trace_sample_every = 1;
+  auto traced_core = MakeCore(&corpus, traced);
+  EXPECT_EQ(traced_core->HandleLine(
+                R"({"id":12,"type":"predict","features":[0.5,-1,2]})"),
+            R"({"id":12,"type":"predict","ok":true,"trace_id":1,)"
+            R"("score":0.66206621190189952,"label":1})");
+}
+
+/// Every file of the fuzz corpus in the checkout.
+std::vector<std::string> FuzzCorpusSeeds() {
+  std::vector<std::string> seeds;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           RLL_SOURCE_DIR "/tools/fuzz/corpus")) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    seeds.push_back(bytes.str());
+  }
+  return seeds;
+}
+
+TEST(WireDifferentialTest, CorpusSeedsMatchTheReference) {
+  const std::vector<std::string> seeds = FuzzCorpusSeeds();
+  ASSERT_GE(seeds.size(), 33u);
+  for (const std::string& seed : seeds) {
+    EXPECT_EQ(reference::WireDifference(seed), "") << seed;
+  }
+}
+
+TEST(WireDifferentialTest, EveryTruncationMatchesTheReference) {
+  const std::string lines[] = {
+      R"({"id": "eé\"1", "type": "embed", "features": [0.5, -1e-3, )"
+      R"(2E+2, -0, 1e-400, 00.5], "extra": {"a": [true, false, null]}})",
+      R"({"id": 0.1, "type": "predict", "features": [1.5, 2, 3.25]})",
+      R"({"id": 9, "type": "reloadz", "action": "reload", )"
+      R"("path": "/tmp/mA😀.rll"})"};
+  for (const std::string& line : lines) {
+    for (size_t n = 0; n <= line.size(); ++n) {
+      ASSERT_EQ(reference::WireDifference(line.substr(0, n)), "")
+          << line.substr(0, n);
+    }
+  }
+}
+
+TEST(WireDifferentialTest, MutatedSeedsMatchTheReference) {
+  // A small deterministic stand-in for the libFuzzer run: a few byte
+  // replacements, deletions and insertions from JSON's alphabet on each
+  // corpus seed.
+  const std::vector<std::string> seeds = FuzzCorpusSeeds();
+  const std::string alphabet = "{}[]:,\"\\ -+.0123456789eEtrufalsnu\x01";
+  Rng rng(23);
+  for (int i = 0; i < 20000; ++i) {
+    std::string input = seeds[rng.UniformInt(seeds.size())];
+    const uint64_t edits = 1 + rng.UniformInt(uint64_t{4});
+    for (uint64_t e = 0; e < edits; ++e) {
+      const size_t at = rng.UniformInt(input.size() + 1);
+      const char c = alphabet[rng.UniformInt(alphabet.size())];
+      switch (rng.UniformInt(uint64_t{3})) {
+        case 0:
+          if (at < input.size()) input[at] = c;
+          break;
+        case 1:
+          if (at < input.size()) input.erase(at, 1);
+          break;
+        default:
+          input.insert(at, 1, c);
+      }
+    }
+    ASSERT_EQ(reference::WireDifference(input), "") << input;
+  }
+}
+
+TEST(ServerCoreTest, CachedRequestsAllocateInSingleDigits) {
+  if (!obs::AllocCountingActive()) {
+    GTEST_SKIP() << "built without RLL_COUNT_ALLOCS";
+  }
+  const data::Dataset corpus = TestCorpus();
+  auto core = MakeCore(&corpus);
+  const std::string embed = R"({"id":1,"type":"embed","features":[0.5,-1,2]})";
+  const std::string predict =
+      R"({"id":2,"type":"predict","features":[0.5,-1,2]})";
+  std::string out;
+  out.reserve(1 << 12);
+  // The first request embeds the row through the batcher into the cache,
+  // and the first of each type registers its metric series.
+  core->HandleLine(embed, &out);
+  core->HandleLine(predict, &out);
+  auto allocations = [&](const std::string& line) {
+    out.clear();
+    const uint64_t before = obs::AllocationCount();
+    core->HandleLine(line, &out);
+    return obs::AllocationCount() - before;
+  };
+  // Parsed features, the standardized row and its copy, the cached
+  // embedding, and the response's embedding (embed) or the head's
+  // probabilities (predict). Nothing per number or per series.
+  EXPECT_EQ(allocations(embed), 5u);
+  EXPECT_EQ(allocations(predict), 5u);
+  EXPECT_NE(out.find("\"ok\":true"), std::string::npos) << out;
+  // The string-returning form adds the one string it returns.
+  const uint64_t before = obs::AllocationCount();
+  const std::string answer = core->HandleLine(embed);
+  EXPECT_EQ(obs::AllocationCount() - before, 6u);
+  std::string twice = answer + "\n";
+  core->HandleLine(embed, &twice);
+  EXPECT_EQ(twice, answer + "\n" + answer);
 }
 
 // ------------------------------------------------------------ EventServer

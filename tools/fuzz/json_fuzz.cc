@@ -1,7 +1,11 @@
-// libFuzzer harness for the serving protocol's JSON parser. The parser is
-// the one component that consumes bytes straight off the network, so it
-// gets fuzzed: any input must either parse into a JsonValue or return a
-// non-OK Status — never crash, hang, or trip a sanitizer.
+// libFuzzer harness for the serving protocol's wire code: the JSON
+// tokenizer, ParseJson, ParseRequest and AppendResponse. They consume
+// bytes straight off the network, so they get fuzzed, and for
+// differences, not only for crashes: every input runs through the
+// library and through the previous parser and serializer kept in
+// tests/wire_reference.cc, and any difference aborts — accept or reject,
+// error message, echoed id, a Request field, a value's bits, or the
+// bytes of the response built from an accepted data-plane request.
 //
 // Built by the RLL_FUZZ CMake option. Under clang this links the real
 // libFuzzer (-fsanitize=fuzzer,address); under other compilers
@@ -14,28 +18,28 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <string_view>
 
-#include "serve/json.h"
+#include "common/check.h"
+#include "wire_reference.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view text(reinterpret_cast<const char*>(data), size);
-  const rll::Result<rll::serve::JsonValue> parsed =
-      rll::serve::ParseJson(text);
-  if (parsed.ok()) {
-    // Touch the parse tree so dead-result elimination cannot hide bugs,
-    // and exercise Find on objects (the hot accessor in the server).
-    const rll::serve::JsonValue& v = *parsed;
-    if (v.is_object()) (void)v.Find("type");
-    if (v.is_array() && !v.array.empty()) (void)v.array.front().is_null();
+  const std::string difference =
+      rll::serve::reference::WireDifference(text);
+  if (!difference.empty()) {
+    std::fprintf(stderr, "json_fuzz: library and reference differ: %s\n",
+                 difference.c_str());
   }
+  RLL_CHECK_MSG(difference.empty(), "wire code differs from the reference");
   return 0;
 }
 
 #if defined(RLL_FUZZ_STANDALONE)
 // Corpus replay driver for toolchains without libFuzzer: runs the target
-// once over each file argument and exits 0 unless the target crashes.
-#include <cstdio>
+// once over each file argument and exits 0 unless the target aborts.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -55,7 +59,8 @@ int main(int argc, char** argv) {
                            bytes.size());
     ++replayed;
   }
-  std::printf("json_fuzz: replayed %d input(s), no crashes\n", replayed);
+  std::printf("json_fuzz: replayed %d input(s), no differences\n",
+              replayed);
   return 0;
 }
 #endif  // RLL_FUZZ_STANDALONE

@@ -40,6 +40,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -94,10 +95,15 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
+  /// A floating-point flag, or `fallback` when it is absent. Parse has
+  /// checked the value against DoubleFlagFloors.
   double GetDouble(const std::string& key, double fallback) const {
     auto it = flags.find(key);
     double v = fallback;
-    if (it != flags.end() && !ParseDouble(it->second, &v)) return fallback;
+    if (it != flags.end()) {
+      RLL_CHECK_MSG(ParseDouble(it->second, &v),
+                    "floating-point flag missing from DoubleFlagFloors");
+    }
     return v;
   }
   /// An integer flag, or `fallback` when it is absent. Parse has checked
@@ -206,6 +212,14 @@ const std::map<std::string, int64_t>& IntFlagMinimums() {
   return minimums;
 }
 
+// Every floating-point flag and the value it must exceed. Parse rejects a
+// value that is not a finite number above its floor: a loss temperature
+// of 0, below 0, NaN or infinity has no meaning.
+const std::map<std::string, double>& DoubleFlagFloors() {
+  static const std::map<std::string, double> floors = {{"eta", 0.0}};
+  return floors;
+}
+
 Result<Args> Parse(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   Args args;
@@ -241,6 +255,20 @@ Result<Args> Parse(int argc, char** argv) {
             "--%s must be >= %lld, got %lld", name.c_str(),
             static_cast<long long>(minimum->second),
             static_cast<long long>(v)));
+      }
+    }
+    const auto floor = DoubleFlagFloors().find(name);
+    if (floor != DoubleFlagFloors().end()) {
+      double v = 0.0;
+      if (!ParseDouble(value, &v) || !std::isfinite(v)) {
+        return Status::InvalidArgument("--" + name +
+                                       " wants a finite number, got '" +
+                                       value + "'");
+      }
+      if (!(v > floor->second)) {
+        return Status::InvalidArgument(StrFormat(
+            "--%s must be > %g, got %s", name.c_str(), floor->second,
+            value.c_str()));
       }
     }
     args.flags[name] = value;
@@ -433,13 +461,19 @@ int RunSynth(const Args& args) {
     return 2;
   }
 
+  // Each example's votes come from distinct workers.
+  const size_t workers = static_cast<size_t>(args.GetInt("workers", 25));
+  const size_t votes = static_cast<size_t>(args.GetInt("votes", 5));
+  if (votes > workers) {
+    std::fprintf(stderr, "--votes must be <= --workers (%zu), got %zu\n",
+                 workers, votes);
+    return 2;
+  }
+
   Rng rng(static_cast<uint64_t>(args.GetInt("seed", 42)));
   data::Dataset dataset = GenerateSynthetic(config, &rng);
-  crowd::WorkerPool pool(
-      {.num_workers = static_cast<size_t>(args.GetInt("workers", 25))},
-      &rng);
-  pool.Annotate(&dataset, static_cast<size_t>(args.GetInt("votes", 5)),
-                &rng);
+  crowd::WorkerPool pool({.num_workers = workers}, &rng);
+  pool.Annotate(&dataset, votes, &rng);
 
   Status status = data::SaveFeaturesCsv(features, dataset);
   if (status.ok()) status = data::SaveAnnotationsCsv(annotations, dataset);
@@ -450,8 +484,7 @@ int RunSynth(const Args& args) {
   std::printf("wrote %zu examples (%zu features, pos fraction %.3f) to %s\n",
               dataset.size(), dataset.dim(), dataset.PositiveFraction(),
               features.c_str());
-  std::printf("wrote %zu-vote annotations to %s\n",
-              static_cast<size_t>(args.GetInt("votes", 5)),
+  std::printf("wrote %zu-vote annotations to %s\n", votes,
               annotations.c_str());
   return 0;
 }
@@ -524,6 +557,13 @@ int RunEvaluate(const Args& args, const ObsSession& obs_session) {
   }
   const core::RllPipelineOptions options =
       PipelineOptionsFrom(args, *mode, obs_session);
+  // Every fold needs at least one row to hold out.
+  if (options.folds > dataset->size()) {
+    std::fprintf(stderr,
+                 "--folds must be <= the %zu loaded rows, got %zu\n",
+                 dataset->size(), options.folds);
+    return 2;
+  }
   EchoRunConfig(args, *mode, options, /*with_folds=*/true);
   Rng rng(static_cast<uint64_t>(args.GetInt("seed", 7)));
   auto outcome = core::RunRllCrossValidation(*dataset, options, &rng);
