@@ -23,6 +23,7 @@
 #include "obs/alloc_count.h"
 #include "obs/profiler.h"
 #include "baselines/raykar.h"
+#include "classify/logistic_regression.h"
 #include "classify/pca.h"
 #include "core/embedding_index.h"
 #include "core/group_sampler.h"
@@ -329,6 +330,29 @@ void BM_PcaFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PcaFit);
+
+// LogisticRegression::Fit for all 500 epochs (tolerance 0) on 32-dim
+// embeddings: at the fold shape (704 train rows, perfbench train's
+// classify.fit_ms) and at the serve corpus shape (20,000 rows, serve
+// set-up's and every reload's classify.head_fit_ms). allocs_per_op counts
+// the fit's own buffers and metric lookups, none per epoch.
+void BM_LogisticRegressionFit(benchmark::State& state, size_t rows) {
+  Rng rng(12);
+  const Matrix x = RandomNormal(rows, 32, &rng);
+  std::vector<int> labels(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    labels[i] = x(i, 0) + rng.Normal() > 0.0 ? 1 : 0;
+  }
+  classify::LogisticRegression lr({.tolerance = 0.0});
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lr.Fit(x, labels));
+  }
+}
+BENCHMARK_CAPTURE(BM_LogisticRegressionFit, fold_704x32, 704)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LogisticRegressionFit, serve_20000x32, 20000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TranscriptGeneration(benchmark::State& state) {
   Rng rng(11);

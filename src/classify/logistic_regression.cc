@@ -5,54 +5,9 @@
 #include "common/finite_check.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/ops.h"
 
 namespace rll::classify {
-
-namespace {
-
-double StableSigmoid(double x) {
-  if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
-
-// Adds the loss gradient of rows [i, i + R) to grad_w and grad_b. The R
-// z sums are independent add chains, so R > 1 keeps the adder busy, and
-// each gradient element still takes its rows' terms in row order: every R
-// gives the bits of the one-row loop.
-template <size_t R>
-void AddRowGradients(const Matrix& x, size_t i, const Matrix& weights,
-                     double bias, const std::vector<double>& targets,
-                     const std::vector<double>& w, double wsum,
-                     Matrix& grad_w, double& grad_b) {
-  const double* row[R];
-  double z[R];
-#pragma GCC unroll 4
-  for (size_t r = 0; r < R; ++r) {
-    row[r] = x.row_data(i + r);
-    z[r] = bias;
-  }
-  for (size_t j = 0; j < x.cols(); ++j) {
-    const double wj = weights[j];
-#pragma GCC unroll 4
-    for (size_t r = 0; r < R; ++r) z[r] += row[r][j] * wj;
-  }
-  double err[R];
-#pragma GCC unroll 4
-  for (size_t r = 0; r < R; ++r) {
-    err[r] = (StableSigmoid(z[r]) - targets[i + r]) * w[i + r] / wsum;
-  }
-  for (size_t j = 0; j < x.cols(); ++j) {
-    double g = grad_w[j];
-#pragma GCC unroll 4
-    for (size_t r = 0; r < R; ++r) g += err[r] * row[r][j];
-    grad_w[j] = g;
-  }
-#pragma GCC unroll 4
-  for (size_t r = 0; r < R; ++r) grad_b += err[r];
-}
-
-}  // namespace
 
 Status LogisticRegression::Fit(const Matrix& x,
                                const std::vector<double>& targets,
@@ -86,6 +41,12 @@ Status LogisticRegression::Fit(const Matrix& x,
   if (wsum <= 0.0) {
     return Status::InvalidArgument("all sample weights are zero");
   }
+  // A NaN or infinity in x would run every epoch and return NaN weights.
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (!std::isfinite(x[i])) {
+      return Status::InvalidArgument("design matrix holds a non-finite value");
+    }
+  }
 
   RLL_TRACE_SPAN("logreg_fit");
   weights_ = Matrix(dim, 1);
@@ -98,17 +59,8 @@ Status LogisticRegression::Fit(const Matrix& x,
   for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
     epochs_run = epoch + 1;
     // Gradient of the weighted mean cross-entropy + L2.
-    grad_w.Fill(0.0);
     double grad_b = 0.0;
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      AddRowGradients<4>(x, i, weights_, bias_, targets, w, wsum, grad_w,
-                         grad_b);
-    }
-    for (; i < n; ++i) {
-      AddRowGradients<1>(x, i, weights_, bias_, targets, w, wsum, grad_w,
-                         grad_b);
-    }
+    LogisticGradient(x, weights_, bias_, targets, w, wsum, grad_w, &grad_b);
     double max_grad = std::fabs(grad_b);
     for (size_t j = 0; j < dim; ++j) {
       grad_w(j, 0) += options_.l2 * weights_(j, 0);
@@ -157,13 +109,8 @@ std::vector<double> LogisticRegression::PredictProba(const Matrix& x) const {
   RLL_CHECK_MSG(fitted_, "PredictProba before Fit");
   RLL_CHECK_EQ(x.cols(), weights_.rows());
   std::vector<double> out(x.rows());
-  for (size_t i = 0; i < x.rows(); ++i) {
-    const double* row = x.row_data(i);
-    double z = bias_;
-    for (size_t j = 0; j < x.cols(); ++j) z += row[j] * weights_(j, 0);
-    out[i] = StableSigmoid(z);
-    RLL_DCHECK_PROB(out[i]);
-  }
+  LogisticProba(x, weights_, bias_, out.data());
+  for (const double p : out) RLL_DCHECK_PROB(p);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "data/csv.h"
 
+#include <cmath>
 #include <fstream>
 
 #include "common/strings.h"
@@ -46,8 +47,10 @@ Result<Dataset> LoadFeaturesCsv(const std::string& path) {
                     cells.size(), num_cols));
     }
     for (size_t c = 0; c < dim; ++c) {
+      // strtod reads nan, inf and an overflow such as 1e999 as values; a
+      // feature must be finite. An underflow reads as a zero of its sign.
       double v = 0.0;
-      if (!ParseDouble(cells[c], &v)) {
+      if (!ParseDouble(cells[c], &v) || !std::isfinite(v)) {
         return Status::InvalidArgument(
             StrFormat("row %zu col %zu: bad double '%s'", row_index, c,
                       cells[c].c_str()));

@@ -16,4 +16,18 @@ void GemmRows(const GemmOperands* g, size_t row_begin, size_t row_end) {
 
 void Tanh(double* x, size_t n) { TanhRange(x, n); }
 
+void Exp(double* x, size_t n) { ExpRange(x, n); }
+
+void Sigmoid(double* x, size_t n) { SigmoidRange(x, n); }
+
+void LogisticProba(const LogisticOperands* op, size_t row_begin,
+                   size_t row_end, double* p) {
+  LogisticProbaRange(*op, row_begin, row_end, p);
+}
+
+void LogisticGradient(const LogisticOperands* op, double* grad_w,
+                      double* grad_b) {
+  LogisticGradientRange(*op, grad_w, grad_b);
+}
+
 }  // namespace rll::kernels::avx512f

@@ -50,8 +50,8 @@ size_t ElemGrain(size_t n) {
   return n < kElemSerialSize ? std::max<size_t>(n, 1) : kElemGrain;
 }
 
-// The GEMM and tanh kernels run at one vector level per process, picked
-// on first use from the CPU features glibc reports active. These, unlike
+// The vector kernels run at one vector level per process, picked on first
+// use from the CPU features glibc reports active. These, unlike
 // __builtin_cpu_supports, honour GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX512F
 // (or -AVX2), so one process can be held to a narrower level. The 8-lane
 // build may use any AVX2 instruction as well, so it needs both features.
@@ -60,22 +60,41 @@ struct KernelLevel {
   const char* name;
   void (*gemm_rows)(const kernels::GemmOperands*, size_t, size_t);
   void (*tanh)(double*, size_t);
+  void (*exp)(double*, size_t);
+  void (*sigmoid)(double*, size_t);
+  void (*logistic_proba)(const kernels::LogisticOperands*, size_t, size_t,
+                         double*);
+  void (*logistic_gradient)(const kernels::LogisticOperands*, double*,
+                            double*);
 };
 
 KernelLevel PickKernelLevel() {
+  namespace baseline = kernels::baseline;
 #if defined(__x86_64__) && __has_include(<sys/platform/x86.h>)
+  namespace avx512f = kernels::avx512f;
+  namespace avx2 = kernels::avx2;
   if (CPU_FEATURE_ACTIVE(AVX512F) && CPU_FEATURE_ACTIVE(AVX2)) {
-    return {"avx512f", kernels::avx512f::GemmRows, kernels::avx512f::Tanh};
+    return {"avx512f",        avx512f::GemmRows,
+            avx512f::Tanh,    avx512f::Exp,
+            avx512f::Sigmoid, avx512f::LogisticProba,
+            avx512f::LogisticGradient};
   }
   if (CPU_FEATURE_ACTIVE(AVX2)) {
-    return {"avx2", kernels::avx2::GemmRows, kernels::avx2::Tanh};
+    return {"avx2",        avx2::GemmRows,
+            avx2::Tanh,    avx2::Exp,
+            avx2::Sigmoid, avx2::LogisticProba,
+            avx2::LogisticGradient};
   }
 #endif
 #if defined(__aarch64__)
-  return {"neon", kernels::baseline::GemmRows, kernels::baseline::Tanh};
+  const char* name = "neon";
 #else
-  return {"sse2", kernels::baseline::GemmRows, kernels::baseline::Tanh};
+  const char* name = "sse2";
 #endif
+  return {name,              baseline::GemmRows,
+          baseline::Tanh,    baseline::Exp,
+          baseline::Sigmoid, baseline::LogisticProba,
+          baseline::LogisticGradient};
 }
 
 const KernelLevel& Kernels() {
@@ -229,6 +248,54 @@ void TanhInPlace(Matrix& m) {
   const auto tanh_range = Kernels().tanh;
   ParallelFor(0, m.size(), ElemGrain(m.size()),
               [&](size_t lo, size_t hi) { tanh_range(d + lo, hi - lo); });
+}
+
+void ExpInPlace(Matrix& m) {
+  double* d = m.data();
+  const auto exp_range = Kernels().exp;
+  ParallelFor(0, m.size(), ElemGrain(m.size()),
+              [&](size_t lo, size_t hi) { exp_range(d + lo, hi - lo); });
+}
+
+void SigmoidInPlace(Matrix& m) {
+  double* d = m.data();
+  const auto sigmoid_range = Kernels().sigmoid;
+  ParallelFor(0, m.size(), ElemGrain(m.size()),
+              [&](size_t lo, size_t hi) { sigmoid_range(d + lo, hi - lo); });
+}
+
+void LogisticProba(const Matrix& x, const Matrix& w, double b, double* p) {
+  RLL_CHECK_EQ(w.rows(), x.cols());
+  RLL_CHECK_EQ(w.cols(), 1u);
+  const kernels::LogisticOperands op{
+      x.data(), x.rows(), x.cols(), w.data(), b, nullptr, nullptr, 0.0};
+  const auto proba = Kernels().logistic_proba;
+  const size_t grain = GemmRowGrain(x.rows(), x.cols());
+  if (grain >= x.rows()) {
+    // One chunk: run it here, without building a std::function, so a
+    // served one-row predict allocates nothing.
+    proba(&op, 0, x.rows(), p);
+    return;
+  }
+  // Rows are independent, so the row partition is bitwise-stable.
+  ParallelFor(0, x.rows(), grain,
+              [&](size_t lo, size_t hi) { proba(&op, lo, hi, p); });
+}
+
+void LogisticGradient(const Matrix& x, const Matrix& w, double b,
+                      const std::vector<double>& targets,
+                      const std::vector<double>& sample_weights,
+                      double weight_sum, Matrix& grad_w, double* grad_b) {
+  RLL_CHECK_EQ(w.rows(), x.cols());
+  RLL_CHECK_EQ(w.cols(), 1u);
+  RLL_CHECK_EQ(targets.size(), x.rows());
+  RLL_CHECK_EQ(sample_weights.size(), x.rows());
+  RLL_CHECK_MSG(&grad_w != &w, "LogisticGradient output aliases w");
+  grad_w.Reshape(x.cols(), 1);
+  const kernels::LogisticOperands op{
+      x.data(),       x.rows(), x.cols(), w.data(), b,
+      targets.data(), sample_weights.data(), weight_sum};
+  Kernels().logistic_gradient(&op, grad_w.data(), grad_b);
 }
 
 double Sum(const Matrix& a) {

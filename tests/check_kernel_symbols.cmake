@@ -1,12 +1,14 @@
 # Checks the per-level kernel objects in librll_tensor.a (src/tensor/
-# kernels_<level>.cc): each must define rll::kernels::<level>::GemmRows and
-# rll::kernels::<level>::Tanh and no other global symbol, and no weak (W/V)
-# or unique (u) symbol at all. An inline function or template that another
+# kernels_<level>.cc): each must define the six entry points
+# rll::kernels::<level>::{GemmRows, Tanh, Exp, Sigmoid, LogisticProba,
+# LogisticGradient} and no other global symbol, and no weak (W/V) or
+# unique (u) symbol at all. An inline function or template that another
 # file also compiles would show up here as a weak symbol, and the linker
 # could keep its -mavx512f copy for the whole program (src/tensor/
 # kernels.h). Usage:
 #   cmake -DNM=nm -DARCHIVE=librll_tensor.a -DLEVELS=baseline,avx2,avx512f \
 #         -P check_kernel_symbols.cmake
+cmake_policy(SET CMP0057 NEW)  # if(... IN_LIST ...)
 foreach(var NM ARCHIVE LEVELS)
   if(NOT DEFINED ${var} OR "${${var}}" STREQUAL "")
     message(FATAL_ERROR "check_kernel_symbols: -D${var}=... is required")
@@ -17,12 +19,12 @@ execute_process(COMMAND "${NM}" -A -C --defined-only "${ARCHIVE}"
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${NM} failed on ${ARCHIVE}: ${nm_error}")
 endif()
+set(entry_points GemmRows Tanh Exp Sigmoid LogisticProba LogisticGradient)
 string(REPLACE "," ";" levels "${LEVELS}")
 string(REPLACE "\n" ";" lines "${listing}")
 set(failures "")
 foreach(level IN LISTS levels)
-  set(found_gemm FALSE)
-  set(found_tanh FALSE)
+  set(found "")
   set(member_seen FALSE)
   foreach(line IN LISTS lines)
     # <archive>:<member>:<value> <type> <name>
@@ -36,10 +38,12 @@ foreach(level IN LISTS levels)
       list(APPEND failures
         "kernels_${level}: weak or unique symbol ${type} ${name}")
     elseif(type MATCHES "^[A-Z]$")
-      if(name MATCHES "^rll::kernels::${level}::GemmRows\\(")
-        set(found_gemm TRUE)
-      elseif(name MATCHES "^rll::kernels::${level}::Tanh\\(")
-        set(found_tanh TRUE)
+      set(entry "")
+      if(name MATCHES "^rll::kernels::${level}::([A-Za-z]+)\\(")
+        set(entry "${CMAKE_MATCH_1}")
+      endif()
+      if(entry IN_LIST entry_points)
+        list(APPEND found "${entry}")
       else()
         list(APPEND failures
           "kernels_${level}: extra global symbol ${type} ${name}")
@@ -48,8 +52,12 @@ foreach(level IN LISTS levels)
   endforeach()
   if(NOT member_seen)
     list(APPEND failures "kernels_${level}: no such object in ${ARCHIVE}")
-  elseif(NOT found_gemm OR NOT found_tanh)
-    list(APPEND failures "kernels_${level}: missing GemmRows or Tanh")
+  else()
+    foreach(entry IN LISTS entry_points)
+      if(NOT entry IN_LIST found)
+        list(APPEND failures "kernels_${level}: missing ${entry}")
+      endif()
+    endforeach()
   endif()
 endforeach()
 if(failures)

@@ -5,15 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "classify/logistic_regression.h"
 #include "classify/metrics.h"
 #include "classify/pca.h"
 #include "classify/ranking_metrics.h"
 #include "common/rng.h"
+#include "kernel_isa_expect.h"
 #include "tensor/init.h"
+#include "tensor/ops.h"
 
 namespace rll::classify {
 namespace {
@@ -190,8 +195,32 @@ TEST(LogisticRegressionTest, HandlesClassImbalanceGracefully) {
   EXPECT_GT(Evaluate(labels, lr.Predict(x)).accuracy, 0.9);
 }
 
-// LogisticRegression::Fit's training loop as it stood when it took one row
-// per pass, copied verbatim: the bitwise reference for the four-row loop.
+TEST(LogisticRegressionTest, RejectsNonFiniteDesignMatrix) {
+  // A non-finite feature would run every epoch into NaN weights; Fit
+  // refuses it before the first one and stays unfitted.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Matrix x(8, 2, 0.5);
+    x(5, 1) = bad;
+    const std::vector<int> labels = {0, 1, 0, 1, 0, 1, 0, 1};
+    LogisticRegression lr;
+    const Status status = lr.Fit(x, labels);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_FALSE(lr.fitted()) << bad;
+  }
+}
+
+// The masked reruns in tests/CMakeLists.txt hold the logistic kernels to
+// a narrower level; each run must be at the level its mask allows.
+TEST(LogisticRegressionTest, RunsTheWidestKernelLevelAllowed) {
+  EXPECT_EQ(std::string(KernelIsa()), ExpectedKernelIsa());
+}
+
+// The head's contract, one row and one term at a time, with no vectors:
+// the bitwise reference for the logistic kernels (tensor/kernels.inc) at
+// every level. A row scores z = b + (((P0+P1)+(P2+P3)) + ((P4+P5)+(P6+P7)))
+// with P_l the sum of x_j·w_j over j ≡ l (mod 8) ascending from +0, and
+// σ(z) comes from the Cody–Waite/Padé e^−|z| below; each gradient element
+// and the error sum run over rows ascending from +0. Finite inputs only.
 class OneRowLoopFit {
  public:
   explicit OneRowLoopFit(LogisticRegressionOptions options)
@@ -217,9 +246,8 @@ class OneRowLoopFit {
       double grad_b = 0.0;
       for (size_t i = 0; i < n; ++i) {
         const double* row = x.row_data(i);
-        double z = bias_;
-        for (size_t j = 0; j < dim; ++j) z += row[j] * weights_(j, 0);
-        const double err = (StableSigmoid(z) - targets[i]) * w[i] / wsum;
+        const double err =
+            (Sigmoid(Score(row, dim)) - targets[i]) * w[i] / wsum;
         for (size_t j = 0; j < dim; ++j) grad_w(j, 0) += err * row[j];
         grad_b += err;
       }
@@ -239,14 +267,48 @@ class OneRowLoopFit {
     return epochs_run;
   }
 
+  std::vector<double> PredictProba(const Matrix& x) const {
+    std::vector<double> p(x.rows());
+    for (size_t i = 0; i < x.rows(); ++i) {
+      p[i] = Sigmoid(Score(x.row_data(i), x.cols()));
+    }
+    return p;
+  }
+
   const Matrix& weights() const { return weights_; }
   double bias() const { return bias_; }
 
  private:
-  static double StableSigmoid(double x) {
-    if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-    const double e = std::exp(x);
-    return e / (1.0 + e);
+  double Score(const double* row, size_t dim) const {
+    double part[8] = {};
+    for (size_t j = 0; j < dim; ++j) part[j % 8] += row[j] * weights_(j, 0);
+    return bias_ + (((part[0] + part[1]) + (part[2] + part[3])) +
+                    ((part[4] + part[5]) + (part[6] + part[7])));
+  }
+
+  // σ(z) from e = e^−|z| = 2^n·(q + p)/(q − p): n = round(x·log2 e)
+  // through the 1.5·2^52 shift, g = x − n·ln2 in two parts, p = g·P(g²),
+  // q = Q(g²), 2^n applied as 2^⌊n/2⌋ then 2^(n−⌊n/2⌋), and e's division
+  // folded into σ's: (q − p) or (q + p)·2^n over (q − p) + (q + p)·2^n.
+  static double Sigmoid(double z) {
+    const double x = std::max(-std::fabs(z), -746.0);
+    const double shift = 0x1.8p52;
+    const double t = x * 1.4426950408889634073599 + shift;
+    const double n = t - shift;
+    const double g =
+        (x - n * 6.93145751953125e-1) - n * 1.42860682030941723212e-6;
+    const double gg = g * g;
+    double p = gg * 1.26177193074810590878e-4 + 3.02994407707441961300e-2;
+    p = g * (p * gg + 9.99999999999999999910e-1);
+    double q = gg * 3.00198505138664455042e-6 + 2.52448340349684104192e-3;
+    q = q * gg + 2.27265548208155028766e-1;
+    q = q * gg + 2.00000000000000000009e0;
+    const int64_t k = static_cast<int64_t>(n);
+    const int64_t k_low = k >> 1;
+    const double e = (q + p) * std::bit_cast<double>((k_low + 1023) << 52) *
+                     std::bit_cast<double>((k - k_low + 1023) << 52);
+    const double den = q - p;
+    return (z >= 0.0 ? den : e) / (den + e);
   }
 
   LogisticRegressionOptions options_;
@@ -254,10 +316,12 @@ class OneRowLoopFit {
   double bias_ = 0.0;
 };
 
-TEST(LogisticRegressionTest, FitMatchesParentLoopBitwise) {
-  // Every tail length of the four-row pass, at the paper's 32-dim
-  // embeddings and at an odd width; hard and soft targets, with and
-  // without sample weights; and a loose tolerance that stops the fit early.
+TEST(LogisticRegressionTest, FitMatchesOneRowLoopBitwise) {
+  // Every tail length of the 8-, 4- and 2-row blocks, at the paper's
+  // 32-dim embeddings and at an odd width that leaves a partial group of
+  // eight columns; hard and soft targets, with and without sample weights;
+  // and a loose tolerance that stops the fit early. PredictProba must give
+  // the loop's bits too.
   Rng rng(9);
   const auto check = [&](size_t n, size_t dim, bool soft, bool weighted,
                          const LogisticRegressionOptions& options) -> int {
@@ -286,6 +350,12 @@ TEST(LogisticRegressionTest, FitMatchesParentLoopBitwise) {
     const double reference_bias = reference.bias();
     EXPECT_EQ(std::memcmp(&bias, &reference_bias, sizeof(double)), 0)
         << "n=" << n << " dim=" << dim;
+    const std::vector<double> proba = lr.PredictProba(x);
+    const std::vector<double> reference_proba = reference.PredictProba(x);
+    EXPECT_EQ(std::memcmp(proba.data(), reference_proba.data(),
+                          n * sizeof(double)),
+              0)
+        << "n=" << n << " dim=" << dim << ": PredictProba";
     return epochs;
   };
   const LogisticRegressionOptions defaults;

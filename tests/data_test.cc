@@ -203,6 +203,53 @@ TEST(CsvTest, LoadRejectsMalformedRows) {
   EXPECT_FALSE(LoadFeaturesCsv(path).ok());
 }
 
+// Fails closed on a cell strtod reads as NaN or infinity, with the error
+// an unparsable cell gets; an underflow still reads as a zero of its sign.
+Result<Dataset> LoadOneFeatureCell(const std::string& cell) {
+  const std::string path = ::testing::TempDir() + "/one_cell.csv";
+  {
+    std::ofstream f(path);
+    f << "f0,f1,label\n1.5,0.25,1\n" << cell << ",2,0\n";
+  }
+  return LoadFeaturesCsv(path);
+}
+
+void ExpectBadDoubleCell(const std::string& cell) {
+  const Result<Dataset> result = LoadOneFeatureCell(cell);
+  ASSERT_FALSE(result.ok()) << cell;
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << cell;
+  EXPECT_NE(result.status().message().find("row 3 col 0: bad double '" +
+                                           cell + "'"),
+            std::string::npos)
+      << result.status().message();
+}
+
+TEST(CsvTest, LoadRejectsNanCell) {
+  for (const char* cell : {"nan", "NaN", "-nan", "nan(0x1)"}) {
+    ExpectBadDoubleCell(cell);
+  }
+}
+
+TEST(CsvTest, LoadRejectsInfinityCell) {
+  for (const char* cell : {"inf", "-inf", "Infinity"}) ExpectBadDoubleCell(cell);
+}
+
+TEST(CsvTest, LoadRejectsOverflowingCell) {
+  for (const char* cell : {"1e999", "-1e999", "0x1p1024"}) {
+    ExpectBadDoubleCell(cell);
+  }
+}
+
+TEST(CsvTest, LoadReadsAnUnderflowAsASignedZero) {
+  for (const char* cell : {"1e-400", "-1e-400"}) {
+    const Result<Dataset> result = LoadOneFeatureCell(cell);
+    ASSERT_TRUE(result.ok()) << cell << ": " << result.status().ToString();
+    const double v = result->features()(1, 0);
+    EXPECT_EQ(v, 0.0) << cell;
+    EXPECT_EQ(std::signbit(v), cell[0] == '-') << cell;
+  }
+}
+
 TEST(CsvTest, LoadRejectsBadLabel) {
   const std::string path = ::testing::TempDir() + "/bad2.csv";
   {

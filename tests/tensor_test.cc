@@ -445,6 +445,221 @@ TEST(TanhTest, IdenticalAtOneTwoAndFourThreads) {
   SetGlobalThreads(0);
 }
 
+// ------------------------------------------------------- Exp and sigmoid
+// tests/CMakeLists.txt runs ExpTest.*, SigmoidTest.* and LogisticTest.*
+// again at the narrower kernel levels, the 2-lane one with glibc's FMA and
+// AVX2 code paths off, which changes the bits std::exp returns.
+
+double ExpOf(double x) {
+  Matrix m(1, 1, x);
+  ExpInPlace(m);
+  return m[0];
+}
+
+double SigmoidOf(double x) {
+  Matrix m(1, 1, x);
+  SigmoidInPlace(m);
+  return m[0];
+}
+
+// |y − exact| in units in the last place of the double nearest `exact`
+// (2^−1074 below the normal range). `exact` must round to a finite double.
+double UlpError(double y, long double exact) {
+  const double nearest = static_cast<double>(exact);
+  const double ulp = std::fabs(nearest) < 0x1p-1022
+                         ? 0x1p-1074
+                         : std::ldexp(1.0, std::ilogb(nearest) - 52);
+  return static_cast<double>(
+      std::fabs(static_cast<long double>(y) - exact) / ulp);
+}
+
+struct KernelPin {
+  double x;
+  double y;
+};
+
+TEST(ExpTest, PinnedOutputs) {
+  const KernelPin kPins[] = {
+      {0.0, 1.0},
+      {-0.0, 1.0},
+      {-0x1p-60, 1.0},
+      {1.0, 0x1.5bf0a8b14576ap+1},
+      {-1.0, 0x1.78b56362cef37p-2},
+      // Subnormal results, rounded once: the nearest doubles.
+      {-709.0, 0x0.8bfe55de02338p-1022},
+      {-740.0, 0x0.0000000000055p-1022},
+      {-745.0, 0x0.0000000000001p-1022},
+      // e^x crosses 2^−1075, half the least subnormal, at −745.1332...
+      {-745.13, 0x0.0000000000001p-1022},
+      {-745.14, 0.0},
+      {-746.0, 0.0},
+      {-1e308, 0.0},
+      {-INFINITY, 0.0},
+      // ... and DBL_MAX at 709.7827...
+      {709.78, 0x1.fe9ce5c4c52b4p+1023},
+      {709.79, INFINITY},
+      {1e308, INFINITY},
+      {INFINITY, INFINITY},
+      // glibc 2.36 returns 0x1.22d1a6be2c035p-17 here through its FMA
+      // build of exp and 0x1.22d1a6be2c036p-17 without it, so a kernel
+      // that went back through libm fails this pin under the mask.
+      {-0x1.74fdc6d7212p+3, 0x1.22d1a6be2c035p-17},
+  };
+  for (const KernelPin& pin : kPins) {
+    EXPECT_EQ(Bits(ExpOf(pin.x)), Bits(pin.y))
+        << std::hexfloat << pin.x << " -> " << ExpOf(pin.x);
+  }
+  for (const uint64_t nan :
+       {0x7ff8000000000000ull, 0xfff8000000000000ull, 0x7ff0000000000123ull}) {
+    EXPECT_TRUE(std::isnan(ExpOf(std::bit_cast<double>(nan))));
+  }
+}
+
+TEST(ExpTest, WithinTwoUlpOverTheNegativeRangeAndRandomBits) {
+  // 2^20 points evenly over [−745.2, 0], then 2^19 random bit patterns
+  // (NaNs skipped; the pins cover them).
+  constexpr size_t kSweep = size_t{1} << 20;
+  constexpr size_t kRandom = size_t{1} << 19;
+  Rng rng(14);
+  Matrix x(kSweep + kRandom, 1);
+  for (size_t i = 0; i < kSweep; ++i) {
+    x[i] = -745.2 * static_cast<double>(i) / static_cast<double>(kSweep - 1);
+  }
+  for (size_t i = kSweep; i < x.size(); ++i) {
+    do {
+      x[i] = std::bit_cast<double>(rng.Next());
+    } while (std::isnan(x[i]));
+  }
+  Matrix y = x;
+  ExpInPlace(y);
+  for (size_t i = 0; i < x.size(); ++i) {
+    const long double exact = std::exp(static_cast<long double>(x[i]));
+    if (std::isinf(static_cast<double>(exact))) {
+      ASSERT_EQ(y[i], INFINITY) << std::hexfloat << x[i];
+      continue;
+    }
+    ASSERT_LE(UlpError(y[i], exact), 2.0)
+        << std::hexfloat << x[i] << " -> " << y[i];
+  }
+}
+
+TEST(SigmoidTest, PinnedOutputs) {
+  const KernelPin kPins[] = {
+      {0.0, 0.5},
+      {-0.0, 0.5},
+      {1.0, 0x1.764d4f5d5a2bdp-1},
+      {-1.0, 0x1.136561454ba86p-2},
+      // Exactly 1 once 1 + e^−z rounds to 1.
+      {36.8, 1.0},
+      {1e308, 1.0},
+      {INFINITY, 1.0},
+      {-700.0, 0x1.14f2b0fb9308p-1010},
+      {-740.0, 0x0.0000000000055p-1022},
+      // Exactly 0 once e^z rounds to 0.
+      {-745.14, 0.0},
+      {-1e308, 0.0},
+      {-INFINITY, 0.0},
+      // glibc 2.36's e^z/(1 + e^z) gives 0x1.4349b4a507404p-9 here through
+      // its FMA build of exp and 0x1.4349b4a507403p-9 without it, so a
+      // sigmoid that went back through libm fails this pin under the mask.
+      {-0x1.8028c89bbcc78p+2, 0x1.4349b4a507404p-9},
+  };
+  for (const KernelPin& pin : kPins) {
+    EXPECT_EQ(Bits(SigmoidOf(pin.x)), Bits(pin.y))
+        << std::hexfloat << pin.x << " -> " << SigmoidOf(pin.x);
+  }
+  for (const uint64_t nan :
+       {0x7ff8000000000000ull, 0xfff8000000000000ull, 0x7ff0000000000123ull}) {
+    EXPECT_TRUE(std::isnan(SigmoidOf(std::bit_cast<double>(nan))));
+  }
+}
+
+TEST(SigmoidTest, WithinThreeUlpAndSaturates) {
+  // 2^20 points evenly over [−700, 40] and 2^18 from N(0, 4²).
+  constexpr size_t kSweep = size_t{1} << 20;
+  constexpr size_t kNormal = size_t{1} << 18;
+  Rng rng(15);
+  Matrix z(kSweep + kNormal, 1);
+  for (size_t i = 0; i < kSweep; ++i) {
+    z[i] = -700.0 + 740.0 * static_cast<double>(i) /
+                        static_cast<double>(kSweep - 1);
+  }
+  for (size_t i = kSweep; i < z.size(); ++i) z[i] = rng.Normal(0.0, 4.0);
+  Matrix p = z;
+  SigmoidInPlace(p);
+  for (size_t i = 0; i < z.size(); ++i) {
+    const long double exact =
+        1.0L / (1.0L + std::exp(-static_cast<long double>(z[i])));
+    ASSERT_LE(UlpError(p[i], exact), 3.0)
+        << std::hexfloat << z[i] << " -> " << p[i];
+    ASSERT_TRUE(p[i] >= 0.0 && p[i] <= 1.0) << std::hexfloat << z[i];
+  }
+}
+
+TEST(SigmoidTest, SameBitsAtEveryOffsetAndThreadCount) {
+  // Exp and sigmoid: a result must not depend on its position, its
+  // neighbours (NaN and infinity included) or the pool's chunks.
+  Rng rng(16);
+  for (const double probe : {-0x1.74fdc6d7212p+3, -0x1.8028c89bbcc78p+2,
+                             -0.0, -709.0, 3.0, 40.0}) {
+    const uint64_t want_exp = Bits(ExpOf(probe));
+    const uint64_t want_sigmoid = Bits(SigmoidOf(probe));
+    for (size_t len = 1; len <= 17; ++len) {
+      for (size_t at = 0; at < len; ++at) {
+        Matrix m = RandomNormal(1, len, &rng, 0.0, 3.0);
+        m[(at + 1) % len] = std::nan("");
+        m[(at + len - 1) % len] = -INFINITY;
+        m[at] = probe;
+        Matrix e = m;
+        ExpInPlace(e);
+        SigmoidInPlace(m);
+        ASSERT_EQ(Bits(e[at]), want_exp) << std::hexfloat << probe;
+        ASSERT_EQ(Bits(m[at]), want_sigmoid) << std::hexfloat << probe;
+      }
+    }
+  }
+  const Matrix x = RandomNormal(181, 183, &rng, 0.0, 30.0);
+  SetGlobalThreads(1);
+  Matrix exp_serial = x;
+  ExpInPlace(exp_serial);
+  Matrix sigmoid_serial = x;
+  SigmoidInPlace(sigmoid_serial);
+  for (const size_t threads : {2u, 4u}) {
+    SetGlobalThreads(threads);
+    Matrix e = x;
+    ExpInPlace(e);
+    Matrix s = x;
+    SigmoidInPlace(s);
+    EXPECT_TRUE(SameBits(e, exp_serial)) << "threads=" << threads;
+    EXPECT_TRUE(SameBits(s, sigmoid_serial)) << "threads=" << threads;
+  }
+  SetGlobalThreads(0);
+}
+
+TEST(LogisticTest, ProbaOfARowIgnoresItsBlockAndThreadCount) {
+  // 9,001 rows of 37 columns: past the serial threshold, so the pool
+  // splits them, with a partial group of eight columns and a row tail
+  // at every level. Each row must score as it does alone.
+  Rng rng(17);
+  const Matrix x = RandomNormal(9001, 37, &rng);
+  const Matrix w = RandomNormal(37, 1, &rng, 0.0, 0.5);
+  const double b = -0.3;
+  std::vector<double> alone(x.rows());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    LogisticProba(x.Row(i), w, b, &alone[i]);
+  }
+  for (const size_t threads : {1u, 2u, 4u}) {
+    SetGlobalThreads(threads);
+    std::vector<double> p(x.rows());
+    LogisticProba(x, w, b, p.data());
+    for (size_t i = 0; i < x.rows(); ++i) {
+      ASSERT_EQ(Bits(p[i]), Bits(alone[i]))
+          << "row " << i << " threads=" << threads;
+    }
+  }
+  SetGlobalThreads(0);
+}
+
 // ------------------------------------------------------ Property sweeps
 
 class MatmulPropertyTest : public ::testing::TestWithParam<int> {};
