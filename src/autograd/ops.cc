@@ -48,6 +48,34 @@ Var Matmul(const Var& a, const Var& b) {
   });
 }
 
+Var Dense(const Var& x, const Var& w, const Var& b, Activation activation) {
+  Matrix value;
+  Gemm(x->value, false, w->value, false, value);
+  AddBiasActivate(value, b->value, activation);
+  return MakeOp(std::move(value), {x, w, b}, [activation](Node* n) {
+    const Var& x = n->parents[0];
+    const Var& w = n->parents[1];
+    const Var& b = n->parents[2];
+    Matrix dz_storage;
+    const Matrix* dz = &n->grad;
+    if (activation != Activation::kNone) {
+      ActivationGrad(n->value, n->grad, activation, dz_storage);
+      dz = &dz_storage;
+    }
+    if (x->requires_grad) {
+      Matrix dx;
+      Gemm(*dz, false, w->value, true, dx);
+      x->AccumulateGrad(std::move(dx));
+    }
+    if (w->requires_grad) {
+      Matrix dw;
+      Gemm(x->value, true, *dz, false, dw);
+      w->AccumulateGrad(std::move(dw));
+    }
+    if (b->requires_grad) b->AccumulateGrad(ColSum(*dz));
+  });
+}
+
 Var Add(const Var& a, const Var& b) {
   return MakeOp(rll::Add(a->value, b->value), {a, b}, [](Node* n) {
     for (int i = 0; i < 2; ++i) {
@@ -157,19 +185,6 @@ Var BroadcastCol(const Var& col, size_t cols) {
   });
 }
 
-Var Tanh(const Var& a) {
-  Matrix value = a->value;
-  TanhInPlace(value);
-  return MakeOp(std::move(value), {a}, [](Node* n) {
-    Matrix g(n->grad.rows(), n->grad.cols());
-    for (size_t i = 0; i < g.size(); ++i) {
-      const double y = n->value[i];
-      g[i] = n->grad[i] * (1.0 - y * y);
-    }
-    n->parents[0]->AccumulateGrad(std::move(g));
-  });
-}
-
 Var Relu(const Var& a) {
   Matrix value = Map(a->value, [](double x) { return x > 0.0 ? x : 0.0; });
   return MakeOp(std::move(value), {a}, [](Node* n) {
@@ -177,23 +192,6 @@ Var Relu(const Var& a) {
     Matrix g(n->grad.rows(), n->grad.cols());
     for (size_t i = 0; i < g.size(); ++i) {
       g[i] = x[i] > 0.0 ? n->grad[i] : 0.0;
-    }
-    n->parents[0]->AccumulateGrad(std::move(g));
-  });
-}
-
-Var Sigmoid(const Var& a) {
-  Matrix value = Map(a->value, [](double x) {
-    // Branch on sign for numerical stability at large |x|.
-    if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-    const double e = std::exp(x);
-    return e / (1.0 + e);
-  });
-  return MakeOp(std::move(value), {a}, [](Node* n) {
-    Matrix g(n->grad.rows(), n->grad.cols());
-    for (size_t i = 0; i < g.size(); ++i) {
-      const double y = n->value[i];
-      g[i] = n->grad[i] * y * (1.0 - y);
     }
     n->parents[0]->AccumulateGrad(std::move(g));
   });
@@ -254,40 +252,26 @@ Var RowSum(const Var& a) {
 }
 
 Var RowCosine(const Var& a, const Var& b, double eps) {
-  return MakeOp(
-      rll::RowCosine(a->value, b->value, eps), {a, b}, [eps](Node* n) {
-        const Var& a = n->parents[0];
-        const Var& b = n->parents[1];
-        const Matrix& av = a->value;
-        const Matrix& bv = b->value;
-        Matrix ga(av.rows(), av.cols());
-        Matrix gb(bv.rows(), bv.cols());
-        for (size_t r = 0; r < av.rows(); ++r) {
-          const double* ar = av.row_data(r);
-          const double* br = bv.row_data(r);
-          double dot = 0.0, na2 = 0.0, nb2 = 0.0;
-          for (size_t c = 0; c < av.cols(); ++c) {
-            dot += ar[c] * br[c];
-            na2 += ar[c] * ar[c];
-            nb2 += br[c] * br[c];
-          }
-          const double na = std::max(std::sqrt(na2), eps);
-          const double nb = std::max(std::sqrt(nb2), eps);
-          const double cosv = dot / (na * nb);
-          const double g = n->grad(r, 0);
-          // d cos / d a = b/(|a||b|) − cos·a/|a|²  (and symmetrically for b).
-          double* gar = ga.row_data(r);
-          double* gbr = gb.row_data(r);
-          for (size_t c = 0; c < av.cols(); ++c) {
-            gar[c] = g * (br[c] / (na * nb) - cosv * ar[c] / (na * na));
-            gbr[c] = g * (ar[c] / (na * nb) - cosv * br[c] / (nb * nb));
-          }
-        }
-        RLL_DCHECK_FINITE(ga);
-        RLL_DCHECK_FINITE(gb);
-        if (a->requires_grad) a->AccumulateGrad(std::move(ga));
-        if (b->requires_grad) b->AccumulateGrad(std::move(gb));
-      });
+  ScratchVector<double> norms(2 * a->value.rows());
+  Matrix value = rll::RowCosine(a->value, b->value, eps, norms.data());
+  return MakeOp(std::move(value), {a, b},
+                [norms = std::move(norms)](Node* n) {
+                  const Var& a = n->parents[0];
+                  const Var& b = n->parents[1];
+                  Matrix ga;
+                  Matrix gb;
+                  RowCosineGrad(a->value, b->value, n->value, norms.data(),
+                                n->grad, a->requires_grad ? &ga : nullptr,
+                                b->requires_grad ? &gb : nullptr);
+                  if (a->requires_grad) {
+                    RLL_DCHECK_FINITE(ga);
+                    a->AccumulateGrad(std::move(ga));
+                  }
+                  if (b->requires_grad) {
+                    RLL_DCHECK_FINITE(gb);
+                    b->AccumulateGrad(std::move(gb));
+                  }
+                });
 }
 
 Var ConcatCols(const VarList& parts) {

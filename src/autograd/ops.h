@@ -6,11 +6,20 @@
 #define RLL_AUTOGRAD_OPS_H_
 
 #include "autograd/variable.h"
+#include "tensor/ops.h"
 
 namespace rll::ag {
 
 /// C = A·B.
 Var Matmul(const Var& a, const Var& b);
+
+/// One dense layer as one node: act(x·W + b) for x batch×in, W in×out and
+/// b 1×out. The forward pass is a Gemm into the node's value and one
+/// AddBiasActivate pass over it. Backward: dZ = ActivationGrad (dY itself
+/// for kNone), b gets ColSum(dZ), W gets xᵀ·dZ and x, when it requires
+/// grad, dZ·Wᵀ. The bits equal Matmul, AddRowBroadcast and the activation
+/// applied in turn, gradients included.
+Var Dense(const Var& x, const Var& w, const Var& b, Activation activation);
 
 /// Elementwise sum/difference/product (same shapes).
 Var Add(const Var& a, const Var& b);
@@ -34,10 +43,8 @@ Var MulRowBroadcast(const Var& a, const Var& row);
 /// Replicates an n×1 column across `cols` columns → n×cols.
 Var BroadcastCol(const Var& col, size_t cols);
 
-/// Nonlinearities (elementwise).
-Var Tanh(const Var& a);
+/// Elementwise max(a, 0) and a².
 Var Relu(const Var& a);
-Var Sigmoid(const Var& a);
 Var Square(const Var& a);
 /// sqrt(max(a, eps)).
 Var Sqrt(const Var& a, double eps = 1e-12);
@@ -49,7 +56,9 @@ Var Mean(const Var& a);
 /// Row reduction → rows×1.
 Var RowSum(const Var& a);
 
-/// Row-wise cosine similarity → rows×1; norms clamped at eps.
+/// Row-wise cosine similarity → rows×1; norms clamped at eps. The
+/// backward closure keeps the forward pass's clamped norms (scratch
+/// storage) and reads cos from the node's value.
 Var RowCosine(const Var& a, const Var& b, double eps = 1e-12);
 
 /// Horizontal concatenation (equal row counts) → rows×Σcols. The operand

@@ -1,6 +1,13 @@
 #include "core/model_bundle.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -139,6 +146,51 @@ Status ReadSection(std::istream* in, const std::string& section,
   return Status(status.code(), "bundle " + section + ": " + status.message());
 }
 
+// Writes `bytes` to a new file beside `path` and renames it over `path`,
+// so a reader (a server watching the bundle) opens either the old file or
+// the complete new one, never a prefix. On any error the temporary file is
+// removed and `path` is left as it was.
+Status PublishFile(const std::string& path, const std::string& bytes) {
+  static std::atomic<uint64_t> sequence{0};
+  std::string tmp;
+  int fd = -1;
+  for (int attempt = 0; fd < 0 && attempt < 100; ++attempt) {
+    tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd < 0 && errno != EEXIST) break;
+  }
+  if (fd < 0) {
+    return Status::IOError("cannot create " + tmp + ": " +
+                           std::strerror(errno));
+  }
+  int error = 0;
+  for (size_t written = 0; written < bytes.size();) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      error = n < 0 ? errno : EIO;
+      break;
+    }
+    written += static_cast<size_t>(n);
+  }
+  // close() reports a failed deferred write (a full disk, say) too.
+  if (::close(fd) != 0 && error == 0) error = errno;
+  if (error != 0) {
+    ::unlink(tmp.c_str());
+    return Status::IOError("write failed: " + tmp + ": " +
+                           std::strerror(error));
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int rename_errno = errno;
+    ::unlink(tmp.c_str());
+    return Status::IOError("cannot rename " + tmp + " to " + path + ": " +
+                           std::strerror(rename_errno));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<ModelBundle> ModelBundle::Create(
@@ -162,16 +214,14 @@ Result<ModelBundle> ModelBundle::Create(
 }
 
 Status ModelBundle::Save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.is_open()) return Status::IOError("cannot open: " + path);
+  std::ostringstream out;
   out << HeaderLine(model_->config()) << "\n";
   RLL_RETURN_IF_ERROR(WriteMatrix(&out, standardizer_.mean()));
   RLL_RETURN_IF_ERROR(WriteMatrix(&out, standardizer_.stddev()));
   for (const ag::Var& p : model_->Parameters()) {
     RLL_RETURN_IF_ERROR(WriteMatrix(&out, p->value));
   }
-  if (!out.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return PublishFile(path, out.str());
 }
 
 Result<ModelBundle> ModelBundle::Load(const std::string& path) {

@@ -29,7 +29,10 @@ class ModelBundle {
   static Result<ModelBundle> Create(const data::Standardizer& standardizer,
                                     const RllModel& model, Rng* rng);
 
-  /// Writes the bundle in the v2 headered format.
+  /// Writes the bundle in the v2 headered format to a temporary file in
+  /// path's directory, then renames it over `path`: a concurrent Load sees
+  /// the old bundle or the new one, never a partial file. On an error the
+  /// old file stays in place and no temporary file is left behind.
   Status Save(const std::string& path) const;
 
   /// Reads a v2 bundle, reconstructing the encoder exactly from the header.

@@ -10,9 +10,4 @@ Linear::Linear(size_t in_features, size_t out_features, Rng* rng)
       weight_(ag::Parameter(XavierUniform(in_features, out_features, rng))),
       bias_(ag::Parameter(Matrix(1, out_features))) {}
 
-ag::Var Linear::Forward(const ag::Var& x) const {
-  RLL_CHECK_EQ(x->value.cols(), in_features_);
-  return ag::AddRowBroadcast(ag::Matmul(x, weight_), bias_);
-}
-
 }  // namespace rll::nn

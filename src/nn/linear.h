@@ -1,11 +1,11 @@
-// Fully-connected layer: y = x·W + b with W (in×out) Xavier-initialized.
+// Fully-connected layer: the parameters of y = x·W + b, W (in×out)
+// Xavier-initialized. Mlp applies it with ag::Dense.
 
 #ifndef RLL_NN_LINEAR_H_
 #define RLL_NN_LINEAR_H_
 
 #include <vector>
 
-#include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
 
@@ -15,9 +15,6 @@ class Linear {
  public:
   /// Xavier-uniform weights, zero bias.
   Linear(size_t in_features, size_t out_features, Rng* rng);
-
-  /// x: batch×in → batch×out.
-  ag::Var Forward(const ag::Var& x) const;
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }

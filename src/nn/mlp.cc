@@ -2,44 +2,12 @@
 // and Run() inside the trainer batch loop; per-call containers are banned.
 #include "nn/mlp.h"
 
-#include <cmath>
 #include <utility>
 
+#include "autograd/ops.h"
 #include "tensor/ops.h"
 
 namespace rll::nn {
-
-namespace {
-
-// In-place twin of Activate for the graph-free Embed path. Tanh is the
-// kernel ag::Tanh calls and the scalar formulas mirror the other autograd
-// ops exactly, so Embed stays bitwise equal to Forward(Constant(x))->value.
-void ActivateInPlace(Matrix& m, Activation activation) {
-  switch (activation) {
-    case Activation::kNone:
-      return;
-    case Activation::kTanh:
-      TanhInPlace(m);
-      return;
-    case Activation::kRelu:
-      for (size_t i = 0; i < m.size(); ++i) m[i] = m[i] > 0.0 ? m[i] : 0.0;
-      return;
-    case Activation::kSigmoid:
-      for (size_t i = 0; i < m.size(); ++i) {
-        const double x = m[i];
-        if (x >= 0.0) {
-          m[i] = 1.0 / (1.0 + std::exp(-x));
-        } else {
-          const double e = std::exp(x);
-          m[i] = e / (1.0 + e);
-        }
-      }
-      return;
-  }
-  RLL_CHECK_MSG(false, "unknown activation");
-}
-
-}  // namespace
 
 const char* ActivationName(Activation activation) {
   switch (activation) {
@@ -64,21 +32,6 @@ Result<Activation> ParseActivation(const std::string& name) {
   return Status::InvalidArgument("unknown activation: " + name);
 }
 
-ag::Var Activate(const ag::Var& x, Activation activation) {
-  switch (activation) {
-    case Activation::kNone:
-      return x;
-    case Activation::kTanh:
-      return ag::Tanh(x);
-    case Activation::kRelu:
-      return ag::Relu(x);
-    case Activation::kSigmoid:
-      return ag::Sigmoid(x);
-  }
-  RLL_CHECK_MSG(false, "unknown activation");
-  return x;
-}
-
 Mlp::Mlp(const MlpConfig& config, Rng* rng) : config_(config) {
   RLL_CHECK_GE(config.dims.size(), 2u);
   layers_.reserve(config.dims.size() - 1);
@@ -95,10 +48,10 @@ ag::Var Mlp::Run(const ag::Var& x, bool training, Rng* rng) const {
   const double keep = 1.0 - config_.dropout;
   ag::Var h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i].Forward(h);
     const bool last = (i + 1 == layers_.size());
-    h = Activate(h, last ? config_.output_activation
-                         : config_.hidden_activation);
+    h = ag::Dense(h, layers_[i].weight(), layers_[i].bias(),
+                  last ? config_.output_activation
+                       : config_.hidden_activation);
     if (last) break;
     if (config_.layer_norm) h = norms_[i].Forward(h);
     if (training && config_.dropout > 0.0) {
@@ -159,10 +112,10 @@ const Matrix& Mlp::EmbedInto(const Matrix& x, Workspace& ws) const {
         i % 2 == 0 ? "mlp.embed.ping" : "mlp.embed.pong", x.rows(),
         weight.cols());
     Gemm(*cur, false, weight, false, next);
-    AddRowBroadcastInPlace(next, layers_[i].bias()->value);
     const bool last = (i + 1 == layers_.size());
-    ActivateInPlace(next, last ? config_.output_activation
-                               : config_.hidden_activation);
+    AddBiasActivate(next, layers_[i].bias()->value,
+                    last ? config_.output_activation
+                         : config_.hidden_activation);
     cur = &next;
   }
   return *cur;

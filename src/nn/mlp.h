@@ -10,10 +10,12 @@
 #include "common/status.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
+#include "tensor/ops.h"
 
 namespace rll::nn {
 
-enum class Activation { kNone, kTanh, kRelu, kSigmoid };
+/// A layer's nonlinearity (tensor/ops.h, where the dense pass applies it).
+using Activation = rll::Activation;
 
 /// Stable wire name ("none" | "tanh" | "relu" | "sigmoid") — recorded in
 /// model-bundle headers, so renaming a value breaks saved bundles.
@@ -21,9 +23,6 @@ const char* ActivationName(Activation activation);
 
 /// Inverse of ActivationName; fails on unknown names.
 Result<Activation> ParseActivation(const std::string& name);
-
-/// Applies an activation as an autograd op (kNone is identity).
-ag::Var Activate(const ag::Var& x, Activation activation);
 
 struct MlpConfig {
   /// Layer widths including input and output, e.g. {60, 128, 64, 32}.
@@ -59,7 +58,8 @@ class Mlp {
 
   /// Allocation-free Embed: every intermediate (and the result) lives in
   /// keyed `ws` buffers, reused across calls — the steady-state serve
-  /// path. Bitwise identical to Embed (same kernels, same order). The
+  /// path. Each layer is the Gemm and AddBiasActivate pass that ag::Dense
+  /// runs, so the result is bitwise equal to Forward's. The
   /// returned reference aliases a `ws` buffer and is valid until the next
   /// EmbedInto against the same workspace.
   const Matrix& EmbedInto(const Matrix& x, Workspace& ws) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/finite_check.h"
+#include "tensor/ops.h"
 
 namespace rll::nn {
 
@@ -23,21 +24,18 @@ void Adam::Step() {
   ++t_;
   steps_metric_->Increment();
   lr_metric_->Set(options_.lr);
-  const double bc1 = 1.0 - std::pow(options_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(options_.beta2, static_cast<double>(t_));
+  const AdamCoefficients c{
+      options_.lr,
+      options_.beta1,
+      options_.beta2,
+      options_.eps,
+      options_.weight_decay,
+      1.0 - std::pow(options_.beta1, static_cast<double>(t_)),
+      1.0 - std::pow(options_.beta2, static_cast<double>(t_))};
   for (size_t i = 0; i < params_.size(); ++i) {
     ag::Var& p = params_[i];
     if (p->grad.empty()) continue;
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    for (size_t j = 0; j < p->value.size(); ++j) {
-      const double g = p->grad[j] + options_.weight_decay * p->value[j];
-      m[j] = options_.beta1 * m[j] + (1.0 - options_.beta1) * g;
-      v[j] = options_.beta2 * v[j] + (1.0 - options_.beta2) * g * g;
-      const double mhat = m[j] / bc1;
-      const double vhat = v[j] / bc2;
-      p->value[j] -= options_.lr * mhat / (std::sqrt(vhat) + options_.eps);
-    }
+    AdamUpdate(c, p->grad, p->value, m_[i], v_[i]);
     // Parameters leave each Adam step finite; a blown-up update points at
     // the gradient (or eps/lr config) that produced it.
     RLL_DCHECK_FINITE(p->value);

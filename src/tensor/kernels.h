@@ -1,6 +1,7 @@
 // Private to rll_tensor: the entry points of the vector kernels (GEMM,
-// tanh, exp, the sigmoid and the logistic-regression pass), built once per
-// vector width from the one source in kernels.inc.
+// tanh, exp, the sigmoid, the logistic-regression pass and the training
+// step's elementwise loops), built once per vector width from the one
+// source in kernels.inc.
 //
 //   baseline  2 lanes: SSE2 on x86-64, NEON on aarch64 (every build)
 //   avx2      4 lanes: kernels_avx2.cc, -mavx2 (x86-64 builds only)
@@ -9,16 +10,19 @@
 // ops.cc picks one level per process (KernelIsa() in ops.h names it).
 // Every level returns the same bits: each C element is summed over k
 // ascending from +0 with a separate multiply and add; each tanh, exp and
-// sigmoid lane depends on its own input alone; and each logistic score
-// sums its row in one fixed tree (LogisticOperands), at any lane count.
+// sigmoid lane depends on its own input alone; each logistic score sums
+// its row in one fixed tree (LogisticOperands), at any lane count; and
+// each lane of the training-step kernels performs the scalar loop's
+// operations in its order, every column sum one chain of adds.
 //
 // Rules for the per-level files, which the `tensor.kernel_symbols` ctest
 // checks with nm: each one includes kernels.inc inside an anonymous
-// namespace and defines the six entry points below and nothing else with
-// external linkage. It includes no header that defines an inline function
-// or template that another file also compiles: the linker keeps one copy
-// of such a function for the whole program, and if that were the -mavx512f
-// copy, CPUs without AVX-512 would die of SIGILL wherever it is called.
+// namespace and defines the thirteen entry points below and nothing else
+// with external linkage. It includes no header that defines an inline
+// function or template that another file also compiles: the linker keeps
+// one copy of such a function for the whole program, and if that were the
+// -mavx512f copy, CPUs without AVX-512 would die of SIGILL wherever it is
+// called.
 // This header declares only plain types and functions.
 
 #ifndef RLL_TENSOR_KERNELS_H_
@@ -57,6 +61,40 @@ struct LogisticOperands {
   double weight_sum;
 };
 
+// The gradients of cos_r = (a_r·b_r) / (|a_r|·|b_r|) over rows×cols a and
+// b, from the forward pass's cos and clamped norms (|a_r| at norms[2r],
+// |b_r| at norms[2r + 1]) and the incoming gradient `grad` (rows×1).
+// ga or gb may be null to skip that side.
+struct RowCosineOperands {
+  const double* a;
+  const double* b;
+  const double* cos;
+  const double* norms;
+  const double* grad;
+  double* ga;
+  double* gb;
+  size_t cols;
+};
+
+// One Adam update of n parameters in place (the formulas in AdamRange,
+// kernels.inc); bias_correction1/2 are 1 − β₁ᵗ and 1 − β₂ᵗ.
+struct AdamOperands {
+  double* value;
+  const double* grad;
+  double* m;
+  double* v;
+  size_t n;
+  double lr;
+  double beta1;
+  double beta2;
+  double one_minus_beta1;
+  double one_minus_beta2;
+  double bias_correction1;
+  double bias_correction2;
+  double eps;
+  double weight_decay;
+};
+
 namespace baseline {
 // Rows [row_begin, row_end) of C. k ≥ 1.
 void GemmRows(const GemmOperands* g, size_t row_begin, size_t row_end);
@@ -74,6 +112,20 @@ void LogisticProba(const LogisticOperands* op, size_t row_begin,
 // ascending from +0.
 void LogisticGradient(const LogisticOperands* op, double* grad_w,
                       double* grad_b);
+// y[i] += x[i] for i in [0, n).
+void Add(double* y, const double* x, size_t n);
+// y[r][c] += bias[c] over the rows × cols row-major y.
+void AddBias(double* y, size_t rows, size_t cols, const double* bias);
+// y[r][c] = tanh(y[r][c] + bias[c]), Tanh's tanh.
+void AddBiasTanh(double* y, size_t rows, size_t cols, const double* bias);
+// dz[i] = dy[i]·(1 − y[i]·y[i]) for i in [0, n).
+void TanhGrad(const double* y, const double* dy, double* dz, size_t n);
+// out[c] = Σ a[r][c] over r ascending from +0, for c in [0, cols).
+void ColSum(const double* a, size_t rows, size_t cols, double* out);
+// Rows [row_begin, row_end) of the row-cosine gradients.
+void RowCosineGrad(const RowCosineOperands* op, size_t row_begin,
+                   size_t row_end);
+void AdamStep(const AdamOperands* op);
 }  // namespace baseline
 
 namespace avx2 {
@@ -85,6 +137,14 @@ void LogisticProba(const LogisticOperands* op, size_t row_begin,
                    size_t row_end, double* p);
 void LogisticGradient(const LogisticOperands* op, double* grad_w,
                       double* grad_b);
+void Add(double* y, const double* x, size_t n);
+void AddBias(double* y, size_t rows, size_t cols, const double* bias);
+void AddBiasTanh(double* y, size_t rows, size_t cols, const double* bias);
+void TanhGrad(const double* y, const double* dy, double* dz, size_t n);
+void ColSum(const double* a, size_t rows, size_t cols, double* out);
+void RowCosineGrad(const RowCosineOperands* op, size_t row_begin,
+                   size_t row_end);
+void AdamStep(const AdamOperands* op);
 }  // namespace avx2
 
 namespace avx512f {
@@ -96,7 +156,37 @@ void LogisticProba(const LogisticOperands* op, size_t row_begin,
                    size_t row_end, double* p);
 void LogisticGradient(const LogisticOperands* op, double* grad_w,
                       double* grad_b);
+void Add(double* y, const double* x, size_t n);
+void AddBias(double* y, size_t rows, size_t cols, const double* bias);
+void AddBiasTanh(double* y, size_t rows, size_t cols, const double* bias);
+void TanhGrad(const double* y, const double* dy, double* dz, size_t n);
+void ColSum(const double* a, size_t rows, size_t cols, double* out);
+void RowCosineGrad(const RowCosineOperands* op, size_t row_begin,
+                   size_t row_end);
+void AdamStep(const AdamOperands* op);
 }  // namespace avx512f
+
+// One vector level's entry points. ops.cc picks one per process, the
+// widest the CPU has (KernelIsa() in ops.h names it), and Active()
+// returns it to the rest of rll_tensor.
+struct Level {
+  const char* name;
+  void (*gemm_rows)(const GemmOperands*, size_t, size_t);
+  void (*tanh)(double*, size_t);
+  void (*exp)(double*, size_t);
+  void (*sigmoid)(double*, size_t);
+  void (*logistic_proba)(const LogisticOperands*, size_t, size_t, double*);
+  void (*logistic_gradient)(const LogisticOperands*, double*, double*);
+  void (*add)(double*, const double*, size_t);
+  void (*add_bias)(double*, size_t, size_t, const double*);
+  void (*add_bias_tanh)(double*, size_t, size_t, const double*);
+  void (*tanh_grad)(const double*, const double*, double*, size_t);
+  void (*col_sum)(const double*, size_t, size_t, double*);
+  void (*row_cosine_grad)(const RowCosineOperands*, size_t, size_t);
+  void (*adam_step)(const AdamOperands*);
+};
+
+const Level& Active();
 
 }  // namespace rll::kernels
 

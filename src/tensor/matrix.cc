@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/strings.h"
+#include "tensor/kernels.h"
 
 namespace rll {
 
@@ -73,7 +74,7 @@ void Matrix::Fill(double value) {
 
 Matrix& Matrix::operator+=(const Matrix& other) {
   RLL_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  kernels::Active().add(data_.data(), other.data_.data(), data_.size());
   return *this;
 }
 

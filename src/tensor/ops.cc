@@ -50,59 +50,55 @@ size_t ElemGrain(size_t n) {
   return n < kElemSerialSize ? std::max<size_t>(n, 1) : kElemGrain;
 }
 
+// Runs body(lo, hi) over [0, n) in chunks of `grain`. A range that is
+// one chunk runs here, without building ParallelFor's std::function, so
+// a small map (a one-row embed, a training-step layer) allocates nothing.
+template <typename F>
+void ForChunks(size_t n, size_t grain, const F& body) {
+  if (grain >= n) {
+    body(0, n);
+    return;
+  }
+  ParallelFor(0, n, grain, body);
+}
+
 // The vector kernels run at one vector level per process, picked on first
 // use from the CPU features glibc reports active. These, unlike
 // __builtin_cpu_supports, honour GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX512F
 // (or -AVX2), so one process can be held to a narrower level. The 8-lane
 // build may use any AVX2 instruction as well, so it needs both features.
 // Every level returns the same bits (kernels.h).
-struct KernelLevel {
-  const char* name;
-  void (*gemm_rows)(const kernels::GemmOperands*, size_t, size_t);
-  void (*tanh)(double*, size_t);
-  void (*exp)(double*, size_t);
-  void (*sigmoid)(double*, size_t);
-  void (*logistic_proba)(const kernels::LogisticOperands*, size_t, size_t,
-                         double*);
-  void (*logistic_gradient)(const kernels::LogisticOperands*, double*,
-                            double*);
-};
+#define RLL_KERNEL_LEVEL(name, ns)                                         \
+  kernels::Level {                                                        \
+    name, ns::GemmRows, ns::Tanh, ns::Exp, ns::Sigmoid, ns::LogisticProba, \
+        ns::LogisticGradient, ns::Add, ns::AddBias, ns::AddBiasTanh,       \
+        ns::TanhGrad, ns::ColSum, ns::RowCosineGrad, ns::AdamStep          \
+  }
 
-KernelLevel PickKernelLevel() {
-  namespace baseline = kernels::baseline;
+kernels::Level PickKernelLevel() {
 #if defined(__x86_64__) && __has_include(<sys/platform/x86.h>)
-  namespace avx512f = kernels::avx512f;
-  namespace avx2 = kernels::avx2;
   if (CPU_FEATURE_ACTIVE(AVX512F) && CPU_FEATURE_ACTIVE(AVX2)) {
-    return {"avx512f",        avx512f::GemmRows,
-            avx512f::Tanh,    avx512f::Exp,
-            avx512f::Sigmoid, avx512f::LogisticProba,
-            avx512f::LogisticGradient};
+    return RLL_KERNEL_LEVEL("avx512f", kernels::avx512f);
   }
   if (CPU_FEATURE_ACTIVE(AVX2)) {
-    return {"avx2",        avx2::GemmRows,
-            avx2::Tanh,    avx2::Exp,
-            avx2::Sigmoid, avx2::LogisticProba,
-            avx2::LogisticGradient};
+    return RLL_KERNEL_LEVEL("avx2", kernels::avx2);
   }
 #endif
 #if defined(__aarch64__)
-  const char* name = "neon";
+  return RLL_KERNEL_LEVEL("neon", kernels::baseline);
 #else
-  const char* name = "sse2";
+  return RLL_KERNEL_LEVEL("sse2", kernels::baseline);
 #endif
-  return {name,              baseline::GemmRows,
-          baseline::Tanh,    baseline::Exp,
-          baseline::Sigmoid, baseline::LogisticProba,
-          baseline::LogisticGradient};
 }
 
-const KernelLevel& Kernels() {
-  static const KernelLevel level = PickKernelLevel();
-  return level;
-}
+#undef RLL_KERNEL_LEVEL
 
 }  // namespace
+
+const kernels::Level& kernels::Active() {
+  static const Level level = PickKernelLevel();
+  return level;
+}
 
 void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
           Matrix& out) {
@@ -132,7 +128,7 @@ void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
     g.b = packed.data();
   }
   // Rows of C are independent, so the row partition is bitwise-stable.
-  const auto gemm_rows = Kernels().gemm_rows;
+  const auto gemm_rows = kernels::Active().gemm_rows;
   ParallelFor(0, m, GemmRowGrain(m, k * n),
               [&](size_t row_begin, size_t row_end) {
                 gemm_rows(&g, row_begin, row_end);
@@ -140,7 +136,7 @@ void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
   RLL_DCHECK_FINITE(out);
 }
 
-const char* KernelIsa() { return Kernels().name; }
+const char* KernelIsa() { return kernels::Active().name; }
 
 Matrix Matmul(const Matrix& a, const Matrix& b) {
   Matrix c;
@@ -203,21 +199,9 @@ Matrix AddScalar(const Matrix& a, double s) {
   return c;
 }
 
-void AddRowBroadcastInPlace(Matrix& m, const Matrix& row) {
-  RLL_CHECK_EQ(row.rows(), 1u);
-  RLL_CHECK_EQ(row.cols(), m.cols());
-  ParallelFor(0, m.rows(), RowOpGrain(m.rows(), m.cols()),
-              [&](size_t row_begin, size_t row_end) {
-                for (size_t r = row_begin; r < row_end; ++r) {
-                  double* mrow = m.row_data(r);
-                  for (size_t j = 0; j < m.cols(); ++j) mrow[j] += row[j];
-                }
-              });
-}
-
 Matrix AddRowBroadcast(const Matrix& a, const Matrix& row) {
   Matrix c = a;
-  AddRowBroadcastInPlace(c, row);
+  AddBiasActivate(c, row, Activation::kNone);
   return c;
 }
 
@@ -245,23 +229,76 @@ Matrix Map(const Matrix& a, const std::function<double(double)>& f) {
 
 void TanhInPlace(Matrix& m) {
   double* d = m.data();
-  const auto tanh_range = Kernels().tanh;
-  ParallelFor(0, m.size(), ElemGrain(m.size()),
-              [&](size_t lo, size_t hi) { tanh_range(d + lo, hi - lo); });
+  const auto tanh_range = kernels::Active().tanh;
+  ForChunks(m.size(), ElemGrain(m.size()),
+            [&](size_t lo, size_t hi) { tanh_range(d + lo, hi - lo); });
 }
 
 void ExpInPlace(Matrix& m) {
   double* d = m.data();
-  const auto exp_range = Kernels().exp;
-  ParallelFor(0, m.size(), ElemGrain(m.size()),
-              [&](size_t lo, size_t hi) { exp_range(d + lo, hi - lo); });
+  const auto exp_range = kernels::Active().exp;
+  ForChunks(m.size(), ElemGrain(m.size()),
+            [&](size_t lo, size_t hi) { exp_range(d + lo, hi - lo); });
 }
 
 void SigmoidInPlace(Matrix& m) {
   double* d = m.data();
-  const auto sigmoid_range = Kernels().sigmoid;
-  ParallelFor(0, m.size(), ElemGrain(m.size()),
-              [&](size_t lo, size_t hi) { sigmoid_range(d + lo, hi - lo); });
+  const auto sigmoid_range = kernels::Active().sigmoid;
+  ForChunks(m.size(), ElemGrain(m.size()),
+            [&](size_t lo, size_t hi) { sigmoid_range(d + lo, hi - lo); });
+}
+
+void AddBiasActivate(Matrix& m, const Matrix& bias, Activation activation) {
+  RLL_CHECK_EQ(bias.rows(), 1u);
+  RLL_CHECK_EQ(bias.cols(), m.cols());
+  const size_t cols = m.cols();
+  const kernels::Level& k = kernels::Active();
+  const auto pass = activation == Activation::kTanh ? k.add_bias_tanh
+                                                    : k.add_bias;
+  // Rows are independent, so the row partition is bitwise-stable.
+  ForChunks(m.rows(), RowOpGrain(m.rows(), cols), [&](size_t lo, size_t hi) {
+    double* y = m.data() + lo * cols;
+    const size_t n = (hi - lo) * cols;
+    pass(y, hi - lo, cols, bias.data());
+    if (activation == Activation::kRelu) {
+      for (size_t i = 0; i < n; ++i) y[i] = y[i] > 0.0 ? y[i] : 0.0;
+    } else if (activation == Activation::kSigmoid) {
+      for (size_t i = 0; i < n; ++i) {
+        // Branch on sign for numerical stability at large |x|.
+        const double x = y[i];
+        if (x >= 0.0) {
+          y[i] = 1.0 / (1.0 + std::exp(-x));
+        } else {
+          const double e = std::exp(x);
+          y[i] = e / (1.0 + e);
+        }
+      }
+    }
+  });
+}
+
+void ActivationGrad(const Matrix& y, const Matrix& dy, Activation activation,
+                    Matrix& dz) {
+  RLL_CHECK(y.SameShape(dy));
+  RLL_CHECK_MSG(&dz != &y && &dz != &dy, "ActivationGrad output aliases");
+  dz.Reshape(y.rows(), y.cols());
+  const size_t n = y.size();
+  switch (activation) {
+    case Activation::kNone:
+      for (size_t i = 0; i < n; ++i) dz[i] = dy[i];
+      return;
+    case Activation::kTanh:
+      kernels::Active().tanh_grad(y.data(), dy.data(), dz.data(), n);
+      return;
+    case Activation::kRelu:
+      // y > 0 exactly where the input was > 0.
+      for (size_t i = 0; i < n; ++i) dz[i] = y[i] > 0.0 ? dy[i] : 0.0;
+      return;
+    case Activation::kSigmoid:
+      for (size_t i = 0; i < n; ++i) dz[i] = dy[i] * y[i] * (1.0 - y[i]);
+      return;
+  }
+  RLL_CHECK_MSG(false, "unknown activation");
 }
 
 void LogisticProba(const Matrix& x, const Matrix& w, double b, double* p) {
@@ -269,17 +306,11 @@ void LogisticProba(const Matrix& x, const Matrix& w, double b, double* p) {
   RLL_CHECK_EQ(w.cols(), 1u);
   const kernels::LogisticOperands op{
       x.data(), x.rows(), x.cols(), w.data(), b, nullptr, nullptr, 0.0};
-  const auto proba = Kernels().logistic_proba;
-  const size_t grain = GemmRowGrain(x.rows(), x.cols());
-  if (grain >= x.rows()) {
-    // One chunk: run it here, without building a std::function, so a
-    // served one-row predict allocates nothing.
-    proba(&op, 0, x.rows(), p);
-    return;
-  }
-  // Rows are independent, so the row partition is bitwise-stable.
-  ParallelFor(0, x.rows(), grain,
-              [&](size_t lo, size_t hi) { proba(&op, lo, hi, p); });
+  const auto proba = kernels::Active().logistic_proba;
+  // Rows are independent, so the row partition is bitwise-stable; one
+  // chunk (a served one-row predict) allocates nothing.
+  ForChunks(x.rows(), GemmRowGrain(x.rows(), x.cols()),
+            [&](size_t lo, size_t hi) { proba(&op, lo, hi, p); });
 }
 
 void LogisticGradient(const Matrix& x, const Matrix& w, double b,
@@ -295,7 +326,7 @@ void LogisticGradient(const Matrix& x, const Matrix& w, double b,
   const kernels::LogisticOperands op{
       x.data(),       x.rows(), x.cols(), w.data(), b,
       targets.data(), sample_weights.data(), weight_sum};
-  Kernels().logistic_gradient(&op, grad_w.data(), grad_b);
+  kernels::Active().logistic_gradient(&op, grad_w.data(), grad_b);
 }
 
 double Sum(const Matrix& a) {
@@ -344,13 +375,9 @@ Matrix RowSum(const Matrix& a) {
 }
 
 Matrix ColSum(const Matrix& a) {
-  // Accumulates across rows into one output row; kept serial so the
-  // historical top-to-bottom summation order is preserved exactly.
+  // Serial: each column is one chain of adds from +0, rows top to bottom.
   Matrix out(1, a.cols());
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const double* row = a.row_data(r);
-    for (size_t c = 0; c < a.cols(); ++c) out[c] += row[c];
-  }
+  kernels::Active().col_sum(a.data(), a.rows(), a.cols(), out.data());
   return out;
 }
 
@@ -381,7 +408,8 @@ double Dot(const Matrix& a, const Matrix& b) {
 
 double Norm(const Matrix& a) { return std::sqrt(Dot(a, a)); }
 
-Matrix RowCosine(const Matrix& a, const Matrix& b, double eps) {
+Matrix RowCosine(const Matrix& a, const Matrix& b, double eps,
+                 double* norms) {
   RLL_CHECK(a.SameShape(b));
   Matrix out(a.rows(), 1);
   ParallelFor(0, a.rows(), RowOpGrain(a.rows(), a.cols()),
@@ -395,12 +423,59 @@ Matrix RowCosine(const Matrix& a, const Matrix& b, double eps) {
                     na += ar[c] * ar[c];
                     nb += br[c] * br[c];
                   }
-                  out(r, 0) = dot / (std::max(std::sqrt(na), eps) *
-                                     std::max(std::sqrt(nb), eps));
+                  const double norm_a = std::max(std::sqrt(na), eps);
+                  const double norm_b = std::max(std::sqrt(nb), eps);
+                  out(r, 0) = dot / (norm_a * norm_b);
+                  if (norms != nullptr) {
+                    norms[2 * r] = norm_a;
+                    norms[2 * r + 1] = norm_b;
+                  }
                 }
               });
   RLL_DCHECK_FINITE(out);
   return out;
+}
+
+void RowCosineGrad(const Matrix& a, const Matrix& b, const Matrix& cos,
+                   const double* norms, const Matrix& grad, Matrix* ga,
+                   Matrix* gb) {
+  RLL_CHECK(a.SameShape(b));
+  RLL_CHECK_EQ(cos.rows(), a.rows());
+  RLL_CHECK_EQ(grad.rows(), a.rows());
+  if (ga != nullptr) ga->Reshape(a.rows(), a.cols());
+  if (gb != nullptr) gb->Reshape(b.rows(), b.cols());
+  const kernels::RowCosineOperands op{
+      a.data(),
+      b.data(),
+      cos.data(),
+      norms,
+      grad.data(),
+      ga == nullptr ? nullptr : ga->data(),
+      gb == nullptr ? nullptr : gb->data(),
+      a.cols()};
+  kernels::Active().row_cosine_grad(&op, 0, a.rows());
+}
+
+void AdamUpdate(const AdamCoefficients& c, const Matrix& grad, Matrix& value,
+                Matrix& m, Matrix& v) {
+  RLL_CHECK(grad.SameShape(value));
+  RLL_CHECK(m.SameShape(value));
+  RLL_CHECK(v.SameShape(value));
+  const kernels::AdamOperands op{value.data(),
+                                 grad.data(),
+                                 m.data(),
+                                 v.data(),
+                                 value.size(),
+                                 c.lr,
+                                 c.beta1,
+                                 c.beta2,
+                                 1.0 - c.beta1,
+                                 1.0 - c.beta2,
+                                 c.bias_correction1,
+                                 c.bias_correction2,
+                                 c.eps,
+                                 c.weight_decay};
+  kernels::Active().adam_step(&op);
 }
 
 Matrix SoftmaxRows(const Matrix& a) {

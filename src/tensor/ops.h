@@ -29,8 +29,8 @@ namespace rll {
 void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
           Matrix& out);
 
-/// The vector level Gemm, TanhInPlace, ExpInPlace, SigmoidInPlace and
-/// the logistic pass run at in this process, picked once from the CPU:
+/// The vector level Gemm, the elementwise maps, the logistic pass and the
+/// training-step kernels run at in this process, picked once from the CPU:
 /// "avx512f" (8 lanes), "avx2" (4 lanes), or the 2-lane baseline, "sse2"
 /// on x86-64 and "neon" on aarch64. The level changes only speed: every
 /// level returns the same bits.
@@ -38,9 +38,6 @@ const char* KernelIsa();
 
 /// C = A·B, value-returning wrapper over Gemm.
 Matrix Matmul(const Matrix& a, const Matrix& b);
-
-/// Adds a 1×cols row vector to every row of `m`, in place.
-void AddRowBroadcastInPlace(Matrix& m, const Matrix& row);
 
 Matrix Transpose(const Matrix& a);
 
@@ -82,6 +79,24 @@ void ExpInPlace(Matrix& m);
 /// exactly 0 and 1; NaN gives NaN.
 void SigmoidInPlace(Matrix& m);
 
+/// An encoder layer's nonlinearity. The names are ActivationName's
+/// (nn/mlp.h), which model bundles record.
+enum class Activation { kNone, kTanh, kRelu, kSigmoid };
+
+/// m[r][c] = act(m[r][c] + bias[c]) in place, bias 1×cols: the bias and
+/// the activation of a dense layer in one pass over m, tanh being
+/// TanhInPlace's. relu is x > 0 ? x : 0, and the sigmoid 1/(1 + e^−x) for
+/// x ≥ 0 and e^x/(1 + e^x) below, with libm's exp. Rows are independent,
+/// so the result does not depend on the thread count.
+void AddBiasActivate(Matrix& m, const Matrix& bias, Activation activation);
+
+/// dz = dy·act′ from the activation's output y (AddBiasActivate's):
+/// dy·(1 − y·y) for tanh, dy for y > 0 (else 0) for relu, dy·y·(1 − y)
+/// for the sigmoid, and dy itself for kNone. `dz` is reshaped and must
+/// alias neither input.
+void ActivationGrad(const Matrix& y, const Matrix& dy, Activation activation,
+                    Matrix& dz);
+
 /// The scores of a logistic-regression head w (dim×1) and b on the rows
 /// of x (n×dim): p[i] = σ(z_i), z_i = b + (((P₀+P₁)+(P₂+P₃)) +
 /// ((P₄+P₅)+(P₆+P₇))), where P_l sums x_ij·w_j over j ≡ l (mod 8)
@@ -114,8 +129,39 @@ double Dot(const Matrix& a, const Matrix& b);
 /// Frobenius / L2 norm.
 double Norm(const Matrix& a);
 
-/// cosine(a_r, b_r) per row → rows×1. Shapes must match.
-Matrix RowCosine(const Matrix& a, const Matrix& b, double eps = 1e-12);
+/// cosine(a_r, b_r) = (a_r·b_r) / (max(|a_r|, eps)·max(|b_r|, eps)) per
+/// row → rows×1. Shapes must match. When `norms` is given, it receives
+/// each row's two clamped norms, max(|a_r|, eps) at norms[2r] and
+/// max(|b_r|, eps) at norms[2r + 1].
+Matrix RowCosine(const Matrix& a, const Matrix& b, double eps = 1e-12,
+                 double* norms = nullptr);
+
+/// The gradients of RowCosine's output `cos` under the incoming gradient
+/// `grad` (rows×1), from the forward pass's `norms`: with
+/// n = |a_r|·|b_r|, row r of *ga is grad_r·(b_r/n − cos_r·a_r/|a_r|²) and
+/// of *gb grad_r·(a_r/n − cos_r·b_r/|b_r|²), |a_r|² as |a_r|·|a_r|. Either
+/// output may be null; the others are reshaped to a's shape.
+void RowCosineGrad(const Matrix& a, const Matrix& b, const Matrix& cos,
+                   const double* norms, const Matrix& grad, Matrix* ga,
+                   Matrix* gb);
+
+/// The constants of one Adam step t: bias_correction1 = 1 − β₁ᵗ and
+/// bias_correction2 = 1 − β₂ᵗ.
+struct AdamCoefficients {
+  double lr;
+  double beta1;
+  double beta2;
+  double eps;
+  double weight_decay;
+  double bias_correction1;
+  double bias_correction2;
+};
+
+/// One Adam update in place, element by element: g = grad + wd·θ,
+/// m = β₁·m + (1 − β₁)·g, v = β₂·v + (1 − β₂)·g·g, and
+/// θ = θ − lr·(m/bc₁) / (√(v/bc₂) + ε). All four matrices share a shape.
+void AdamUpdate(const AdamCoefficients& c, const Matrix& grad, Matrix& value,
+                Matrix& m, Matrix& v);
 
 /// Numerically stable row-wise softmax.
 Matrix SoftmaxRows(const Matrix& a);

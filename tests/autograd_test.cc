@@ -128,10 +128,65 @@ TEST(GradCheckTest, AddRowBroadcast) {
   EXPECT_LT(r.max_relative_error, kTol);
 }
 
-TEST(GradCheckTest, Tanh) {
-  Var a = Parameter(RandomMat(3, 3, 8));
-  auto r = CheckGradients({a}, [&] { return Sum(Tanh(a)); });
-  EXPECT_LT(r.max_relative_error, kTol);
+// Operands of a 4×3 by 3×5 dense layer whose pre-activations stay at
+// least 0.45 away from 0, of alternating sign by column, so relu's kink
+// is never crossed by a finite difference and both of its sides are
+// checked: x in ±[0.5, ∞), W[k][c] of column c's sign with |W| ≥ 0.3,
+// |b| < 0.01.
+struct DenseOperands {
+  Matrix x;
+  Matrix w;
+  Matrix b;
+};
+
+DenseOperands MakeDenseOperands(uint64_t seed) {
+  DenseOperands d{RandomMat(4, 3, seed), RandomMat(3, 5, seed + 1),
+                  RandomMat(1, 5, seed + 2, 0.003)};
+  for (size_t i = 0; i < d.x.size(); ++i) d.x[i] = std::fabs(d.x[i]) + 0.5;
+  for (size_t k = 0; k < 3; ++k) {
+    for (size_t c = 0; c < 5; ++c) {
+      const double magnitude = std::fabs(d.w(k, c)) + 0.3;
+      d.w(k, c) = c % 2 == 0 ? magnitude : -magnitude;
+    }
+  }
+  return d;
+}
+
+// ag::Dense with every operand a parameter (x too), or with x a constant.
+void CheckDense(Activation activation, bool x_requires_grad) {
+  const DenseOperands d = MakeDenseOperands(30);
+  Var x = x_requires_grad ? Parameter(d.x) : Constant(d.x);
+  Var w = Parameter(d.w);
+  Var b = Parameter(d.b);
+  std::vector<Var> params = {w, b};
+  if (x_requires_grad) params.push_back(x);
+  auto r = CheckGradients(
+      params, [&] { return Sum(Square(Dense(x, w, b, activation))); });
+  EXPECT_LT(r.max_relative_error, kTol)
+      << "activation " << static_cast<int>(activation)
+      << " x_requires_grad " << x_requires_grad;
+}
+
+TEST(GradCheckTest, Tanh) { CheckDense(Activation::kTanh, true); }
+
+TEST(GradCheckTest, DenseEveryActivationWithConstantAndTrainableInput) {
+  for (const Activation activation :
+       {Activation::kNone, Activation::kTanh, Activation::kRelu,
+        Activation::kSigmoid}) {
+    CheckDense(activation, false);
+    CheckDense(activation, true);
+  }
+}
+
+TEST(GradCheckTest, DenseLeavesAConstantInputWithoutGradient) {
+  const DenseOperands d = MakeDenseOperands(31);
+  Var x = Constant(d.x);
+  Var w = Parameter(d.w);
+  Var b = Parameter(d.b);
+  Backward(Sum(Dense(x, w, b, Activation::kTanh)));
+  EXPECT_TRUE(x->grad.empty());
+  EXPECT_TRUE(w->grad.SameShape(d.w));
+  EXPECT_TRUE(b->grad.SameShape(d.b));
 }
 
 TEST(GradCheckTest, ReluAwayFromKink) {
@@ -144,11 +199,7 @@ TEST(GradCheckTest, ReluAwayFromKink) {
   EXPECT_LT(r.max_relative_error, kTol);
 }
 
-TEST(GradCheckTest, Sigmoid) {
-  Var a = Parameter(RandomMat(3, 4, 10));
-  auto r = CheckGradients({a}, [&] { return Sum(Sigmoid(a)); });
-  EXPECT_LT(r.max_relative_error, kTol);
-}
+TEST(GradCheckTest, Sigmoid) { CheckDense(Activation::kSigmoid, true); }
 
 TEST(GradCheckTest, SquareSqrt) {
   Matrix m = RandomMat(3, 3, 11);
@@ -285,8 +336,10 @@ TEST(OpsSemanticsTest, NllMatchesManualComputation) {
 }
 
 TEST(OpsSemanticsTest, SigmoidMatchesClosedForm) {
+  // x·I + 0 is x exactly, so the dense layer applies the sigmoid to x.
   Matrix x = {{-700.0, 0.0, 700.0}};
-  Var s = Sigmoid(Constant(x));
+  Var s = Dense(Constant(x), Constant(Matrix::Identity(3)),
+                Constant(Matrix(1, 3)), Activation::kSigmoid);
   EXPECT_NEAR(s->value(0, 0), 0.0, 1e-12);
   EXPECT_NEAR(s->value(0, 1), 0.5, 1e-12);
   EXPECT_NEAR(s->value(0, 2), 1.0, 1e-12);

@@ -1,7 +1,8 @@
 # Checks the per-level kernel objects in librll_tensor.a (src/tensor/
-# kernels_<level>.cc): each must define the six entry points
+# kernels_<level>.cc): each must define the thirteen entry points
 # rll::kernels::<level>::{GemmRows, Tanh, Exp, Sigmoid, LogisticProba,
-# LogisticGradient} and no other global symbol, and no weak (W/V) or
+# LogisticGradient, Add, AddBias, AddBiasTanh, TanhGrad, ColSum,
+# RowCosineGrad, AdamStep} and no other global symbol, and no weak (W/V) or
 # unique (u) symbol at all. An inline function or template that another
 # file also compiles would show up here as a weak symbol, and the linker
 # could keep its -mavx512f copy for the whole program (src/tensor/
@@ -19,7 +20,8 @@ execute_process(COMMAND "${NM}" -A -C --defined-only "${ARCHIVE}"
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${NM} failed on ${ARCHIVE}: ${nm_error}")
 endif()
-set(entry_points GemmRows Tanh Exp Sigmoid LogisticProba LogisticGradient)
+set(entry_points GemmRows Tanh Exp Sigmoid LogisticProba LogisticGradient
+  Add AddBias AddBiasTanh TanhGrad ColSum RowCosineGrad AdamStep)
 string(REPLACE "," ";" levels "${LEVELS}")
 string(REPLACE "\n" ";" lines "${listing}")
 set(failures "")

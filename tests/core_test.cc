@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -548,6 +552,76 @@ TEST(ModelBundleTest, SaveLoadEmbedRoundTrip) {
   // And the bundle path equals manual standardize + embed.
   EXPECT_TRUE(
       original->AllClose(model.Embed(standardizer.Transform(raw))));
+}
+
+TEST(ModelBundleTest, ConcurrentLoadsNeverSeeAPartialSave) {
+  // Two bundles of the paper's encoder saved in turn over one path while a
+  // reader loads it in a loop, as a server watching its bundle does.
+  Rng rng(52);
+  Matrix raw = RandomNormal(20, 16, &rng);
+  data::Standardizer standardizer;
+  standardizer.Fit(raw);
+  std::vector<ModelBundle> bundles;
+  for (int i = 0; i < 2; ++i) {
+    RllModel model({.input_dim = 16, .hidden_dims = {64, 32}}, &rng);
+    auto bundle = ModelBundle::Create(standardizer, model, &rng);
+    ASSERT_TRUE(bundle.ok());
+    bundles.push_back(std::move(*bundle));
+  }
+  const std::string dir = ::testing::TempDir() + "/atomic_save";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/bundle.ckpt";
+  ASSERT_TRUE(bundles[0].Save(path).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> loads{0};
+  std::string first_error;
+  std::thread reader([&] {
+    while (!done.load()) {
+      auto loaded = ModelBundle::Load(path);
+      if (!loaded.ok() && first_error.empty()) {
+        first_error = loaded.status().ToString();
+      }
+      loads.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(bundles[i % 2].Save(path).ok());
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_TRUE(first_error.empty()) << first_error;
+  EXPECT_GT(loads.load(), 0);
+  // Only the bundle is left in the directory: no temporary file.
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "bundle.ckpt");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+}
+
+TEST(ModelBundleTest, FailedSaveLeavesTheOldBundle) {
+  Rng rng(53);
+  data::Standardizer standardizer;
+  standardizer.Fit(RandomNormal(10, 4, &rng));
+  RllModel model({.input_dim = 4, .hidden_dims = {3}}, &rng);
+  auto bundle = ModelBundle::Create(standardizer, model, &rng);
+  ASSERT_TRUE(bundle.ok());
+  // A directory in the bundle's place: the rename fails.
+  const std::string dir = ::testing::TempDir() + "/failed_save";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/bundle.ckpt/occupied");
+  EXPECT_FALSE(bundle->Save(dir + "/bundle.ckpt").ok());
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename(), "bundle.ckpt");
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  EXPECT_TRUE(std::filesystem::is_directory(dir + "/bundle.ckpt/occupied"));
+  // A directory that does not exist: nothing to create the file in.
+  EXPECT_FALSE(bundle->Save(dir + "/missing/bundle.ckpt").ok());
 }
 
 TEST(ModelBundleTest, CreateRejectsMismatchedDims) {

@@ -121,6 +121,72 @@ TEST(GateDirectionTest, ClassifiesByKeyword) {
   EXPECT_EQ(DirectionFor("mean_batch_size"), Direction::kBand);
 }
 
+TEST(GateDirectionTest, TimesAreLowerIsBetterWhateverTheBenchIsCalled) {
+  // "BM_RllTrainingStepArena" matches no keyword, but real_time and
+  // real_time_ms are times: a step 10x faster than its baseline passes
+  // the 6x gate and one 7x slower fails it.
+  const auto baseline = Extract(
+      R"({"micro_ops":{"threads_1":[
+           {"name":"BM_RllTrainingStepArena","real_time_ms":3.088,
+            "allocs_per_op":0.0},
+           {"name":"BM_ProfilerOverhead","real_time_ms":12.0,
+            "overhead_ratio":1.02}]}})",
+      "micro_ops.threads_1");
+  const auto run = [](double step_ns, double allocs, double overhead) {
+    return Extract(
+        R"({"benchmarks":[{"name":"BM_RllTrainingStepArena","real_time":)" +
+        std::to_string(step_ns) +
+        R"(,"time_unit":"ns","allocs_per_op":)" + std::to_string(allocs) +
+        R"(},{"name":"BM_ProfilerOverhead","real_time":12.0,)"
+        R"("time_unit":"ms","overhead_ratio":)" +
+        std::to_string(overhead) + "}]}");
+  };
+  for (const auto& metrics : {baseline, run(308800.0, 0.0, 1.02)}) {
+    ASSERT_EQ(metrics.size(), 4u);
+    EXPECT_EQ(metrics[1].direction, Direction::kLowerIsBetter);
+    EXPECT_EQ(metrics[3].direction, Direction::kLowerIsBetter);
+    // The lifted counts keep their keyword directions.
+    EXPECT_EQ(metrics[0].name, "BM_RllTrainingStepArena.allocs_per_op");
+    EXPECT_FALSE(metrics[0].direction.has_value());
+    EXPECT_EQ(metrics[2].name, "BM_ProfilerOverhead.overhead_ratio");
+    EXPECT_FALSE(metrics[2].direction.has_value());
+  }
+  GateOptions options;
+  options.tolerance = 6.0;
+  const GateReport faster = Compare(baseline, run(308800.0, 0.0, 1.02),
+                                    options);
+  EXPECT_TRUE(faster.pass()) << FormatReport(faster);
+  EXPECT_EQ(faster.verdicts[1].direction, Direction::kLowerIsBetter);
+  EXPECT_FALSE(Compare(baseline, run(21616000.0, 0.0, 1.02), options).pass());
+  // An allocation or a costlier profiler still fails; fewer allocations
+  // and a cheaper profiler do not.
+  EXPECT_FALSE(Compare(baseline, run(3088000.0, 1.0, 1.02), options).pass());
+  options.per_metric_tolerance["BM_ProfilerOverhead.overhead_ratio"] = 1.05;
+  EXPECT_FALSE(Compare(baseline, run(3088000.0, 0.0, 1.2), options).pass());
+  EXPECT_TRUE(Compare(baseline, run(3088000.0, 0.0, 0.9), options).pass());
+}
+
+TEST(GateDirectionTest, WallMsAndBareNumbersGoByName) {
+  // BenchReporter stores counts and ratios under wall_ms too, so a
+  // wall_ms or bare-number metric keeps keyword classification.
+  const auto records = Extract(
+      R"({"records":[{"name":"max_batch_observed","wall_ms":12.0},
+                     {"name":"cache_hit_rate","wall_ms":0.9}]})");
+  const auto bare = Extract(R"({"t":{"glad":0.9}})", "t");
+  ASSERT_EQ(records.size(), 2u);
+  ASSERT_EQ(bare.size(), 1u);
+  EXPECT_FALSE(records[0].direction.has_value());
+  EXPECT_FALSE(records[1].direction.has_value());
+  EXPECT_FALSE(bare[0].direction.has_value());
+  GateOptions options;
+  const std::vector<Metric> grown = {{"max_batch_observed", 100.0},
+                                     {"cache_hit_rate", 0.9}};
+  EXPECT_FALSE(Compare(records, grown, options).pass());  // Band.
+  const std::vector<Metric> starved = {{"max_batch_observed", 12.0},
+                                       {"cache_hit_rate", 0.1}};
+  EXPECT_FALSE(Compare(records, starved, options).pass());  // Higher.
+}
+
 TEST(GateCompareTest, PassesIdenticalRunsAndCatchesRegression) {
   const std::vector<Metric> baseline = {{"latency_p99_ms", 10.0},
                                         {"rows_per_sec", 100.0}};

@@ -1,5 +1,6 @@
 // Tests for the neural-network layer: Linear/Mlp/LayerNorm forward
-// semantics, dropout, Adam, and gradient clipping.
+// semantics, dropout, Adam, gradient clipping, and the RLL training step
+// bit for bit against the reference graph (reference_graph.h).
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,14 @@
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
+#include "common/threading.h"
+#include "core/rll_model.h"
+#include "kernel_isa_expect.h"
 #include "nn/layer_norm.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 #include "nn/optimizer.h"
+#include "reference_graph.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -21,11 +26,17 @@ namespace {
 
 // ---------------------------------------------------------------- Linear
 
+// A layer applied as ag::Dense with no activation.
+ag::Var Affine(const Linear& layer, const ag::Var& x) {
+  return ag::Dense(x, layer.weight(), layer.bias(), Activation::kNone);
+}
+
 TEST(LinearTest, ForwardMatchesManualAffine) {
   Rng rng(1);
   Linear layer(3, 2, &rng);
+  layer.bias()->value = RandomNormal(1, 2, &rng);
   Matrix x = RandomNormal(5, 3, &rng);
-  ag::Var out = layer.Forward(ag::Constant(x));
+  ag::Var out = Affine(layer, ag::Constant(x));
   Matrix expected = AddRowBroadcast(Matmul(x, layer.weight()->value),
                                     layer.bias()->value);
   EXPECT_TRUE(out->value.AllClose(expected));
@@ -52,7 +63,7 @@ TEST(LinearTest, GradCheckThroughLayer) {
   Linear layer(3, 2, &rng);
   Matrix x = RandomNormal(4, 3, &rng);
   auto r = ag::CheckGradients(layer.Parameters(), [&] {
-    return ag::Mean(ag::Square(layer.Forward(ag::Constant(x))));
+    return ag::Mean(ag::Square(Affine(layer, ag::Constant(x))));
   });
   EXPECT_LT(r.max_relative_error, 1e-5);
 }
@@ -101,9 +112,10 @@ TEST(MlpTest, GradCheckTwoLayerTanh) {
 }
 
 TEST(MlpTest, EmbedMatchesGraphForwardBitwise) {
-  // Embed and EmbedInto run the graph-free activations, Forward the
-  // autograd ops; 1 and 3 rows of the odd widths below leave odd element
-  // counts for the two-lane tanh kernel.
+  // Embed and EmbedInto run the graph-free pass, Forward one ag::Dense
+  // node per layer, and the reference the parent's Matmul,
+  // AddRowBroadcast and activation nodes; 1 and 3 rows of the odd widths
+  // below leave odd element counts for the two-lane kernels.
   for (const Activation activation :
        {Activation::kNone, Activation::kTanh, Activation::kRelu,
         Activation::kSigmoid}) {
@@ -116,14 +128,19 @@ TEST(MlpTest, EmbedMatchesGraphForwardBitwise) {
     for (const size_t rows : {1u, 3u, 16u, 17u}) {
       const Matrix x = RandomNormal(rows, 5, &rng, 0.0, 2.0);
       const Matrix graph = mlp.Forward(ag::Constant(x))->value;
+      const Matrix parent =
+          reference::MlpForward(mlp, ag::Constant(x))->value;
       const Matrix embed = mlp.Embed(x);
       const Matrix& into = mlp.EmbedInto(x, ws);
       ASSERT_TRUE(embed.SameShape(graph));
       ASSERT_TRUE(into.SameShape(graph));
+      ASSERT_TRUE(parent.SameShape(graph));
       const size_t bytes = graph.size() * sizeof(double);
       EXPECT_EQ(std::memcmp(embed.data(), graph.data(), bytes), 0)
           << ActivationName(activation) << " rows=" << rows;
       EXPECT_EQ(std::memcmp(into.data(), graph.data(), bytes), 0)
+          << ActivationName(activation) << " rows=" << rows;
+      EXPECT_EQ(std::memcmp(parent.data(), graph.data(), bytes), 0)
           << ActivationName(activation) << " rows=" << rows;
     }
   }
@@ -345,6 +362,103 @@ TEST(MlpTrainingTest, LearnsXor) {
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(pred(i, 0), y(i, 0), 0.2) << "example " << i;
   }
+}
+
+// ----------------------------------------------- The RLL training step
+// tests/CMakeLists.txt reruns TrainingStepTest.* at the narrower kernel
+// levels (nn_test.step_without_*).
+
+TEST(TrainingStepTest, RunsTheWidestKernelLevelAllowed) {
+  EXPECT_EQ(std::string(KernelIsa()), ExpectedKernelIsa());
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Steps of the paper encoder (60 → 64 → 32, tanh) on 64 groups of an
+// anchor, its paired positive and k = 3 negatives, run through the
+// library (one ag::Dense node per layer, GroupNllLoss, Adam) and through
+// the reference graph from the same initial weights. The parameters must
+// agree bit for bit after every step.
+void ExpectStepsMatchReference(size_t threads) {
+  SetGlobalThreads(threads);
+  constexpr size_t kGroups = 64;
+  constexpr size_t kSlots = 4;  // The positive and k = 3 negatives.
+  constexpr double kEta = 10.0;
+  core::RllModelConfig config;
+  config.input_dim = 60;
+  config.hidden_dims = {64, 32};
+  Rng init_a(41);
+  Rng init_b(41);
+  core::RllModel model(config, &init_a);
+  core::RllModel parent(config, &init_b);
+  const AdamOptions adam_options{.lr = 0.01};
+  Adam adam(model.Parameters(), adam_options);
+  reference::ScalarAdam parent_adam(parent.Parameters(), adam_options);
+  Rng data_rng(42);
+  const Matrix features = RandomNormal(300, 60, &data_rng);
+  for (int step = 0; step < 6; ++step) {
+    std::vector<size_t> anchors(kGroups);
+    std::vector<std::vector<size_t>> slots(kSlots,
+                                           std::vector<size_t>(kGroups));
+    std::vector<Matrix> confidence(kSlots, Matrix(kGroups, 1));
+    for (size_t g = 0; g < kGroups; ++g) {
+      anchors[g] = data_rng.UniformInt(300u);
+      for (size_t s = 0; s < kSlots; ++s) {
+        slots[s][g] = data_rng.UniformInt(300u);
+        confidence[s](g, 0) = data_rng.Uniform(0.5, 1.0);
+      }
+    }
+    // The trainer's order: the anchor rows, then each slot's rows.
+    adam.ZeroGrad();
+    ag::Var anchor = model.ForwardTrain(
+        ag::Constant(features.GatherRows(anchors)), nullptr);
+    ag::VarList candidates;
+    MatrixList slot_confidence;
+    for (size_t s = 0; s < kSlots; ++s) {
+      candidates.push_back(model.ForwardTrain(
+          ag::Constant(features.GatherRows(slots[s])), nullptr));
+      slot_confidence.push_back(confidence[s]);
+    }
+    ag::Var loss =
+        core::GroupNllLoss(anchor, candidates, slot_confidence, kEta);
+    ag::Backward(loss);
+    adam.Step();
+
+    parent_adam.ZeroGrad();
+    const auto parent_forward = [&](const std::vector<size_t>& rows) {
+      return reference::EncoderForward(
+          parent.Parameters(), config.hidden_activation,
+          config.output_activation, ag::Constant(features.GatherRows(rows)));
+    };
+    ag::Var parent_anchor = parent_forward(anchors);
+    std::vector<ag::Var> parent_candidates;
+    for (size_t s = 0; s < kSlots; ++s) {
+      parent_candidates.push_back(parent_forward(slots[s]));
+    }
+    ag::Var parent_loss = reference::GroupNllLoss(
+        parent_anchor, parent_candidates, confidence, kEta);
+    ag::Backward(parent_loss);
+    parent_adam.Step();
+
+    ASSERT_TRUE(SameBits(loss->value, parent_loss->value))
+        << "threads=" << threads << " step=" << step;
+    const auto params = model.Parameters();
+    const auto parent_params = parent.Parameters();
+    ASSERT_EQ(params.size(), parent_params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      ASSERT_TRUE(SameBits(params[i]->value, parent_params[i]->value))
+          << "threads=" << threads << " step=" << step << " param=" << i;
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+TEST(TrainingStepTest, MatchesTheReferenceGraphBitwise) {
+  ExpectStepsMatchReference(1);
+  ExpectStepsMatchReference(4);
 }
 
 }  // namespace

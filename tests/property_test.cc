@@ -232,13 +232,16 @@ TEST_P(AutogradShapePropertyTest, RandomCompositeGradCheck) {
   const size_t c = 2 + rng.UniformInt(4u);
   ag::Var a = ag::Parameter(RandomNormal(r, c, &rng));
   ag::Var b = ag::Parameter(RandomNormal(r, c, &rng));
+  ag::Var w = ag::Parameter(RandomNormal(c, c, &rng, 0.0, 0.5));
+  ag::Var bias = ag::Parameter(RandomNormal(1, c, &rng, 0.0, 0.5));
   auto forward = [&] {
-    ag::Var h = ag::Tanh(ag::Add(a, ag::Scale(b, 0.5)));
-    h = ag::Mul(h, ag::Sigmoid(b));
+    ag::Var h = ag::Dense(ag::Add(a, ag::Scale(b, 0.5)), w, bias,
+                          Activation::kTanh);
+    h = ag::Mul(h, ag::Dense(b, w, bias, Activation::kSigmoid));
     ag::Var cos = ag::RowCosine(h, a);
     return ag::Mean(ag::Square(cos));
   };
-  auto result = ag::CheckGradients({a, b}, forward);
+  auto result = ag::CheckGradients({a, b, w, bias}, forward);
   EXPECT_LT(result.max_relative_error, 1e-4);
 }
 

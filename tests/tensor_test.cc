@@ -3,15 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/threading.h"
 #include "tensor/init.h"
+#include "tensor/kernels.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tensor/serialize.h"
@@ -167,9 +170,12 @@ Matrix NaiveGemm(const Matrix& a, bool trans_a, const Matrix& b,
   return c;
 }
 
+// memcmp is not called on an empty matrix, whose data() may be null:
+// the call would let the compiler assume it is not.
 bool SameBits(const Matrix& x, const Matrix& y) {
   return x.SameShape(y) &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+         (x.size() == 0 ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
 }
 
 TEST(OpsTest, GemmMatchesNaiveLoopBitwise) {
@@ -219,12 +225,13 @@ TEST(OpsDeathTest, GemmRejectsAnOutputThatAliasesAnInput) {
   EXPECT_DEATH(Gemm(a, false, b, false, b), "Gemm output aliases b");
 }
 
-TEST(OpsTest, AddRowBroadcastInPlaceMatchesAllocatingOp) {
+TEST(OpsTest, AddBiasActivateNoneMatchesAllocatingOp) {
   Matrix a = {{1, 2}, {3, 4}};
   const Matrix row = {{10, 20}};
   Matrix m = a;
-  AddRowBroadcastInPlace(m, row);
+  AddBiasActivate(m, row, Activation::kNone);
   EXPECT_EQ(m, AddRowBroadcast(a, row));
+  EXPECT_EQ(m, Matrix({{11, 22}, {13, 24}}));
 }
 
 TEST(OpsTest, ElementwiseOps) {
@@ -764,6 +771,353 @@ TEST(SerializeTest, RejectsUnexpectedShapeBeforeReadingElements) {
     EXPECT_FALSE(ReadMatrix(&ss, &out).ok()) << text;
     EXPECT_EQ(out, Matrix(2, 3, 7.0)) << text;
   }
+}
+
+// ------------------------------------------------ Training-step kernels
+// tests/CMakeLists.txt runs TrainingKernelTest.* again at the narrower
+// kernel levels. Each kernel is pinned bit for bit against the scalar
+// loop it replaced: flat lengths 0-17 and the training shapes, rows
+// starting at odd offsets from an aligned buffer (the kernels load
+// unaligned), and the public wrappers in tensor/ops.h on top.
+
+// The flat lengths and the rows × cols shapes every kernel is pinned on.
+constexpr size_t kPinLengths[] = {0, 1,  2,  3,  4,  5,  6,  7,  8,
+                                  9, 10, 11, 12, 13, 14, 15, 16, 17};
+constexpr size_t kPinShapes[][2] = {
+    {64, 64}, {64, 32}, {1, 32}, {3, 7}, {5, 17}, {2, 1}, {0, 5}};
+constexpr size_t kPinOffsets[] = {0, 1, 3};
+
+// n doubles from N(0, 2²) at data() + offset of a buffer of offset + n.
+std::vector<double> RandomBuffer(size_t offset, size_t n, Rng* rng) {
+  std::vector<double> v(offset + n);
+  for (double& x : v) x = rng->Normal(0.0, 2.0);
+  return v;
+}
+
+bool SameBits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+TEST(TrainingKernelTest, AddMatchesTheScalarLoop) {
+  Rng rng(60);
+  std::vector<size_t> lengths(std::begin(kPinLengths), std::end(kPinLengths));
+  for (const auto& shape : kPinShapes) lengths.push_back(shape[0] * shape[1]);
+  for (const size_t n : lengths) {
+    for (const size_t off : kPinOffsets) {
+      std::vector<double> y = RandomBuffer(off, n, &rng);
+      const std::vector<double> x = RandomBuffer(off, n, &rng);
+      std::vector<double> want = y;
+      for (size_t i = 0; i < n; ++i) want[off + i] += x[off + i];
+      kernels::Active().add(y.data() + off, x.data() + off, n);
+      ASSERT_TRUE(SameBits(y, want)) << "n=" << n << " off=" << off;
+    }
+  }
+  // Matrix::operator+= runs it.
+  Matrix a = RandomNormal(64, 32, &rng);
+  const Matrix b = RandomNormal(64, 32, &rng);
+  Matrix want = a;
+  for (size_t i = 0; i < want.size(); ++i) want[i] = a[i] + b[i];
+  a += b;
+  EXPECT_TRUE(SameBits(a, want));
+}
+
+// The parent's scalar activation formulas.
+double ScalarActivation(double x, Activation activation) {
+  switch (activation) {
+    case Activation::kNone:
+      return x;
+    case Activation::kTanh: {
+      Matrix m(1, 1, x);
+      TanhInPlace(m);
+      return m[0];
+    }
+    case Activation::kRelu:
+      return x > 0.0 ? x : 0.0;
+    case Activation::kSigmoid:
+      if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
+      return std::exp(x) / (1.0 + std::exp(x));
+  }
+  return x;
+}
+
+constexpr Activation kActivations[] = {Activation::kNone, Activation::kTanh,
+                                       Activation::kRelu,
+                                       Activation::kSigmoid};
+
+TEST(TrainingKernelTest, AddBiasActivateMatchesTheScalarLoop) {
+  Rng rng(61);
+  for (const auto& shape : kPinShapes) {
+    const size_t rows = shape[0];
+    const size_t cols = shape[1];
+    for (const size_t off : kPinOffsets) {
+      const std::vector<double> y = RandomBuffer(off, rows * cols, &rng);
+      const std::vector<double> bias = RandomBuffer(off, cols, &rng);
+      std::vector<double> want_add = y;
+      std::vector<double> want_tanh = y;
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+          const size_t i = off + r * cols + c;
+          want_add[i] = y[i] + bias[off + c];
+          want_tanh[i] = ScalarActivation(want_add[i], Activation::kTanh);
+        }
+      }
+      std::vector<double> got = y;
+      kernels::Active().add_bias(got.data() + off, rows, cols,
+                                 bias.data() + off);
+      ASSERT_TRUE(SameBits(got, want_add)) << rows << "x" << cols;
+      got = y;
+      kernels::Active().add_bias_tanh(got.data() + off, rows, cols,
+                                      bias.data() + off);
+      ASSERT_TRUE(SameBits(got, want_tanh)) << rows << "x" << cols;
+    }
+    // The public pass, every activation.
+    const Matrix m = RandomNormal(rows, cols, &rng, 0.0, 2.0);
+    const Matrix bias = RandomNormal(1, cols, &rng, 0.0, 2.0);
+    for (const Activation activation : kActivations) {
+      Matrix got = m;
+      AddBiasActivate(got, bias, activation);
+      Matrix want = m;
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+          want(r, c) = ScalarActivation(m(r, c) + bias[c], activation);
+        }
+      }
+      ASSERT_TRUE(SameBits(got, want))
+          << rows << "x" << cols << " activation "
+          << static_cast<int>(activation);
+    }
+  }
+}
+
+TEST(TrainingKernelTest, AddBiasActivateIdenticalAtOneTwoAndFourThreads) {
+  // 600 × 64 is past the row-map serial threshold, so the pool splits it.
+  Rng rng(62);
+  const Matrix m = RandomNormal(600, 64, &rng, 0.0, 2.0);
+  const Matrix bias = RandomNormal(1, 64, &rng);
+  for (const Activation activation : kActivations) {
+    SetGlobalThreads(1);
+    Matrix serial = m;
+    AddBiasActivate(serial, bias, activation);
+    for (const size_t threads : {2u, 4u}) {
+      SetGlobalThreads(threads);
+      Matrix parallel = m;
+      AddBiasActivate(parallel, bias, activation);
+      EXPECT_TRUE(SameBits(parallel, serial)) << "threads=" << threads;
+    }
+  }
+  SetGlobalThreads(0);
+}
+
+TEST(TrainingKernelTest, ActivationGradMatchesTheScalarLoop) {
+  Rng rng(63);
+  std::vector<size_t> lengths(std::begin(kPinLengths), std::end(kPinLengths));
+  for (const auto& shape : kPinShapes) lengths.push_back(shape[0] * shape[1]);
+  for (const size_t n : lengths) {
+    for (const size_t off : kPinOffsets) {
+      const std::vector<double> y = RandomBuffer(off, n, &rng);
+      const std::vector<double> dy = RandomBuffer(off, n, &rng);
+      std::vector<double> want(off + n, 0.0);
+      std::vector<double> got(off + n, 0.0);
+      for (size_t i = off; i < off + n; ++i) {
+        want[i] = dy[i] * (1.0 - y[i] * y[i]);
+      }
+      kernels::Active().tanh_grad(y.data() + off, dy.data() + off,
+                                  got.data() + off, n);
+      ASSERT_TRUE(SameBits(got, want)) << "n=" << n << " off=" << off;
+    }
+  }
+  // The public wrapper, every activation, from the activation's output.
+  const Matrix dy = RandomNormal(64, 32, &rng);
+  for (const Activation activation : kActivations) {
+    Matrix y = RandomNormal(64, 32, &rng);
+    AddBiasActivate(y, Matrix(1, 32), activation);
+    Matrix got;
+    ActivationGrad(y, dy, activation, got);
+    Matrix want(64, 32);
+    for (size_t i = 0; i < want.size(); ++i) {
+      switch (activation) {
+        case Activation::kNone:
+          want[i] = dy[i];
+          break;
+        case Activation::kTanh:
+          want[i] = dy[i] * (1.0 - y[i] * y[i]);
+          break;
+        case Activation::kRelu:
+          want[i] = y[i] > 0.0 ? dy[i] : 0.0;
+          break;
+        case Activation::kSigmoid:
+          want[i] = dy[i] * y[i] * (1.0 - y[i]);
+          break;
+      }
+    }
+    EXPECT_TRUE(SameBits(got, want)) << static_cast<int>(activation);
+  }
+}
+
+TEST(TrainingKernelTest, ColSumMatchesTheScalarLoop) {
+  Rng rng(64);
+  for (const auto& shape : kPinShapes) {
+    const size_t rows = shape[0];
+    const size_t cols = shape[1];
+    for (const size_t off : kPinOffsets) {
+      std::vector<double> a = RandomBuffer(off, rows * cols, &rng);
+      // A column of -0 must sum to +0, as a chain from +0 does.
+      if (rows * cols > 0) {
+        for (size_t r = 0; r < rows; ++r) a[off + r * cols] = -0.0;
+      }
+      std::vector<double> want(off + cols, 7.0);
+      std::vector<double> got(off + cols, 7.0);
+      for (size_t c = 0; c < cols; ++c) want[off + c] = 0.0;
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+          want[off + c] += a[off + r * cols + c];
+        }
+      }
+      kernels::Active().col_sum(a.data() + off, rows, cols, got.data() + off);
+      ASSERT_TRUE(SameBits(got, want))
+          << rows << "x" << cols << " off=" << off;
+    }
+  }
+  for (const size_t cols : kPinLengths) {
+    const Matrix a = RandomNormal(9, cols, &rng);
+    Matrix want(1, cols);
+    for (size_t r = 0; r < a.rows(); ++r) {
+      for (size_t c = 0; c < cols; ++c) want[c] += a(r, c);
+    }
+    ASSERT_TRUE(SameBits(ColSum(a), want)) << "cols=" << cols;
+  }
+}
+
+TEST(TrainingKernelTest, RowCosineGradMatchesTheScalarLoop) {
+  Rng rng(65);
+  const double eps = 1e-12;
+  for (const auto& shape : kPinShapes) {
+    const size_t rows = shape[0];
+    const size_t cols = shape[1];
+    Matrix a = RandomNormal(rows, cols, &rng);
+    const Matrix b = RandomNormal(rows, cols, &rng);
+    if (rows > 1) {
+      for (size_t c = 0; c < cols; ++c) a(1, c) = 0.0;  // A clamped norm.
+    }
+    const Matrix grad = RandomNormal(rows, 1, &rng);
+    std::vector<double> norms(2 * rows);
+    const Matrix cos = RowCosine(a, b, eps, norms.data());
+    ASSERT_TRUE(SameBits(cos, RowCosine(a, b, eps)));
+    // The parent's backward, which recomputed the sums.
+    Matrix want_a(rows, cols);
+    Matrix want_b(rows, cols);
+    for (size_t r = 0; r < rows; ++r) {
+      double dot = 0.0, na2 = 0.0, nb2 = 0.0;
+      for (size_t c = 0; c < cols; ++c) {
+        dot += a(r, c) * b(r, c);
+        na2 += a(r, c) * a(r, c);
+        nb2 += b(r, c) * b(r, c);
+      }
+      const double na = std::max(std::sqrt(na2), eps);
+      const double nb = std::max(std::sqrt(nb2), eps);
+      ASSERT_EQ(Bits(norms[2 * r]), Bits(na));
+      ASSERT_EQ(Bits(norms[2 * r + 1]), Bits(nb));
+      const double cosv = dot / (na * nb);
+      ASSERT_EQ(Bits(cos(r, 0)), Bits(cosv));
+      const double g = grad(r, 0);
+      for (size_t c = 0; c < cols; ++c) {
+        want_a(r, c) = g * (b(r, c) / (na * nb) - cosv * a(r, c) / (na * na));
+        want_b(r, c) = g * (a(r, c) / (na * nb) - cosv * b(r, c) / (nb * nb));
+      }
+    }
+    Matrix ga;
+    Matrix gb;
+    RowCosineGrad(a, b, cos, norms.data(), grad, &ga, &gb);
+    ASSERT_TRUE(SameBits(ga, want_a)) << rows << "x" << cols;
+    ASSERT_TRUE(SameBits(gb, want_b)) << rows << "x" << cols;
+    Matrix only_b;
+    RowCosineGrad(a, b, cos, norms.data(), grad, nullptr, &only_b);
+    ASSERT_TRUE(SameBits(only_b, want_b)) << rows << "x" << cols;
+    // Rows at odd offsets: a one-column-shifted copy of each operand.
+    for (const size_t off : kPinOffsets) {
+      std::vector<double> av(off + rows * cols);
+      std::vector<double> bv(off + rows * cols);
+      std::copy(a.data(), a.data() + a.size(), av.begin() + off);
+      std::copy(b.data(), b.data() + b.size(), bv.begin() + off);
+      std::vector<double> gav(off + rows * cols, 0.0);
+      std::vector<double> gbv(off + rows * cols, 0.0);
+      const kernels::RowCosineOperands op{
+          av.data() + off, bv.data() + off, cos.data(),        norms.data(),
+          grad.data(),     gav.data() + off, gbv.data() + off, cols};
+      kernels::Active().row_cosine_grad(&op, 0, rows);
+      const std::vector<double> got_a(gav.begin() + off, gav.end());
+      const std::vector<double> got_b(gbv.begin() + off, gbv.end());
+      ASSERT_TRUE(SameBits(
+          got_a, std::vector<double>(want_a.data(),
+                                     want_a.data() + want_a.size())))
+          << rows << "x" << cols << " off=" << off;
+      ASSERT_TRUE(SameBits(
+          got_b, std::vector<double>(want_b.data(),
+                                     want_b.data() + want_b.size())))
+          << rows << "x" << cols << " off=" << off;
+    }
+  }
+}
+
+TEST(TrainingKernelTest, AdamUpdateMatchesTheScalarLoop) {
+  Rng rng(66);
+  std::vector<size_t> lengths(std::begin(kPinLengths), std::end(kPinLengths));
+  for (const auto& shape : kPinShapes) lengths.push_back(shape[0] * shape[1]);
+  for (const double weight_decay : {0.0, 0.01}) {
+    for (const size_t n : lengths) {
+      for (const size_t off : kPinOffsets) {
+        std::vector<double> value = RandomBuffer(off, n, &rng);
+        std::vector<double> m = RandomBuffer(off, n, &rng);
+        std::vector<double> v = RandomBuffer(off, n, &rng);
+        for (double& x : v) x = std::fabs(x);
+        const std::vector<double> grad = RandomBuffer(off, n, &rng);
+        const int t = 1 + static_cast<int>(n % 5);
+        const double lr = 0.01, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+        const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+        const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+        std::vector<double> want_value = value;
+        std::vector<double> want_m = m;
+        std::vector<double> want_v = v;
+        for (size_t j = off; j < off + n; ++j) {
+          const double g = grad[j] + weight_decay * want_value[j];
+          want_m[j] = beta1 * want_m[j] + (1.0 - beta1) * g;
+          want_v[j] = beta2 * want_v[j] + (1.0 - beta2) * g * g;
+          const double mhat = want_m[j] / bc1;
+          const double vhat = want_v[j] / bc2;
+          want_value[j] -= lr * mhat / (std::sqrt(vhat) + eps);
+        }
+        const kernels::AdamOperands op{
+            value.data() + off, grad.data() + off, m.data() + off,
+            v.data() + off,     n,                 lr,
+            beta1,              beta2,             1.0 - beta1,
+            1.0 - beta2,        bc1,               bc2,
+            eps,                weight_decay};
+        kernels::Active().adam_step(&op);
+        ASSERT_TRUE(SameBits(value, want_value)) << "n=" << n << " off=" << off;
+        ASSERT_TRUE(SameBits(m, want_m)) << "n=" << n << " off=" << off;
+        ASSERT_TRUE(SameBits(v, want_v)) << "n=" << n << " off=" << off;
+      }
+    }
+  }
+  // The public wrapper.
+  Matrix value = RandomNormal(64, 32, &rng);
+  Matrix m(64, 32);
+  Matrix v(64, 32);
+  const Matrix grad = RandomNormal(64, 32, &rng);
+  const AdamCoefficients c{0.001, 0.9, 0.999, 1e-8, 0.0, 1.0 - 0.9,
+                           1.0 - 0.999};
+  Matrix want = value;
+  for (size_t j = 0; j < want.size(); ++j) {
+    const double g = grad[j] + 0.0 * want[j];
+    const double mj = 0.9 * 0.0 + (1.0 - 0.9) * g;
+    const double vj = 0.999 * 0.0 + (1.0 - 0.999) * g * g;
+    want[j] -= 0.001 * (mj / c.bias_correction1) /
+               (std::sqrt(vj / c.bias_correction2) + 1e-8);
+  }
+  AdamUpdate(c, grad, value, m, v);
+  EXPECT_TRUE(SameBits(value, want));
 }
 
 }  // namespace

@@ -63,12 +63,16 @@ Result<Metric> MetricFromObject(const serve::JsonValue& entry) {
   }
   Metric metric;
   metric.name = name->string;
-  for (const char* member : {"wall_ms", "real_time_ms"}) {
-    if (const serve::JsonValue* v = entry.Find(member);
-        v != nullptr && v->is_number()) {
-      metric.value = v->number;
-      return metric;
-    }
+  if (const serve::JsonValue* v = entry.Find("wall_ms");
+      v != nullptr && v->is_number()) {
+    metric.value = v->number;
+    return metric;
+  }
+  if (const serve::JsonValue* v = entry.Find("real_time_ms");
+      v != nullptr && v->is_number()) {
+    metric.value = v->number;
+    metric.direction = Direction::kLowerIsBetter;
+    return metric;
   }
   if (const serve::JsonValue* v = entry.Find("real_time");
       v != nullptr && v->is_number()) {
@@ -78,6 +82,7 @@ Result<Metric> MetricFromObject(const serve::JsonValue& entry) {
       RLL_ASSIGN_OR_RETURN(scale, TimeUnitScaleToMs(unit->string));
     }
     metric.value = v->number * scale;
+    metric.direction = Direction::kLowerIsBetter;
     return metric;
   }
   return Status::InvalidArgument("entry \"" + metric.name +
@@ -208,7 +213,7 @@ GateReport Compare(const std::vector<Metric>& baseline,
     MetricVerdict verdict;
     verdict.name = metric.name;
     verdict.baseline = metric.value;
-    verdict.direction = DirectionFor(metric.name);
+    verdict.direction = metric.direction.value_or(DirectionFor(metric.name));
 
     bool skip = false;
     for (const std::string& needle : options.skip_substrings) {

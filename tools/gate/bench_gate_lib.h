@@ -10,16 +10,18 @@
 //     of {"name", "real_time_ms"|"wall_ms"} objects or an object of
 //     bare numbers (e.g. --key micro_ops.threads_1 in BENCH_threads.json)
 //
-// Comparison is directional by metric name: throughput-like metrics may
-// not drop below baseline/tolerance, latency-like metrics may not rise
-// above baseline*tolerance, and unrecognized metrics are held to the
-// two-sided band. An absolute-slack escape hatch keeps sub-noise micro
+// Comparison is directional: a google-benchmark time (real_time,
+// real_time_ms) may not rise above baseline*tolerance; other metrics go
+// by name, throughput-like ones may not drop below baseline/tolerance,
+// latency-like ones may not rise above baseline*tolerance, and
+// unrecognized ones are held to the two-sided band. An absolute-slack escape hatch keeps sub-noise micro
 // timings (p50s of a few microseconds) from tripping ratio checks.
 
 #ifndef RLL_TOOLS_GATE_BENCH_GATE_LIB_H_
 #define RLL_TOOLS_GATE_BENCH_GATE_LIB_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,15 +30,21 @@
 
 namespace rll::gate {
 
-struct Metric {
-  std::string name;
-  double value = 0.0;
-};
-
 enum class Direction {
   kLowerIsBetter,   // Latencies, wall times: current <= baseline * tol.
   kHigherIsBetter,  // Throughputs, hit rates: current >= baseline / tol.
   kBand,            // Unknown: both bounds apply.
+};
+
+struct Metric {
+  std::string name;
+  double value = 0.0;
+  /// Set where the value is read when its member says what it is: a
+  /// google-benchmark real_time or a reference real_time_ms is a time,
+  /// lower-is-better whatever the benchmark is called. Unset (wall_ms,
+  /// which BenchReporter also fills with counts and ratios, and bare
+  /// numbers) means DirectionFor(name).
+  std::optional<Direction> direction;
 };
 
 /// Classifies a metric name by keyword ("latency", "_ms", "throughput",
