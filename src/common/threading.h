@@ -97,24 +97,26 @@ void SetGlobalThreads(size_t num_threads);
 size_t GlobalThreadCount();
 
 /// ParallelFor on the global pool. A template so the serial paths — a
-/// size-1 pool, a range that fits one chunk, a nested call from a worker —
+/// range that fits one chunk, a size-1 pool, a nested call from a worker —
 /// invoke `fn` directly: no std::function is materialized, which keeps the
-/// hot loops built on these kernels allocation-free at --threads 1. Only
-/// an actual pool dispatch pays the type-erasure (and task-queue) cost.
-/// The chunk partition is the same either way, so results stay bitwise
-/// identical at any thread count.
+/// hot loops built on these kernels allocation-free at --threads 1. A range
+/// that fits one chunk does not look the pool up either (a lock and a
+/// shared_ptr copy). Only an actual pool dispatch pays the type-erasure
+/// (and task-queue) cost. The chunk partition is the same either way, so
+/// results stay bitwise identical at any thread count.
 template <typename Fn>
 void ParallelFor(size_t begin, size_t end, size_t grain, const Fn& fn) {
   if (end <= begin) return;
   grain = std::max<size_t>(grain, 1);
-  const std::shared_ptr<ThreadPool> pool = GlobalThreadPool();
-  if (pool->num_threads() == 1 || end - begin <= grain ||
-      pool->OnWorkerThread()) {
-    fn(begin, end);
-    return;
+  if (end - begin > grain) {
+    const std::shared_ptr<ThreadPool> pool = GlobalThreadPool();
+    if (pool->num_threads() > 1 && !pool->OnWorkerThread()) {
+      pool->ParallelFor(begin, end, grain,
+                        std::function<void(size_t, size_t)>(std::cref(fn)));
+      return;
+    }
   }
-  pool->ParallelFor(begin, end, grain,
-                    std::function<void(size_t, size_t)>(std::cref(fn)));
+  fn(begin, end);
 }
 
 /// Deterministic tree reduction over [begin, end): `map_chunk(lo, hi)`
@@ -128,20 +130,22 @@ T ParallelReduce(size_t begin, size_t end, size_t grain, T identity,
   if (end <= begin) return identity;
   grain = std::max<size_t>(grain, 1);
   const size_t chunks = (end - begin + grain - 1) / grain;
-  {
+  bool serial = chunks == 1;  // One chunk does not look the pool up.
+  if (!serial) {
     const std::shared_ptr<ThreadPool> pool = GlobalThreadPool();
-    if (pool->num_threads() == 1 || chunks == 1 || pool->OnWorkerThread()) {
-      // Serial fold with the SAME chunk boundaries and combine order as
-      // the parallel path — bitwise identical result — but no partials
-      // buffer and no dispatch, so the path allocates nothing.
-      T acc = identity;
-      for (size_t c = 0; c < chunks; ++c) {
-        const size_t lo = begin + c * grain;
-        const size_t hi = std::min(end, lo + grain);
-        acc = combine(acc, map_chunk(lo, hi));
-      }
-      return acc;
+    serial = pool->num_threads() == 1 || pool->OnWorkerThread();
+  }
+  if (serial) {
+    // Serial fold with the SAME chunk boundaries and combine order as the
+    // parallel path — bitwise identical result — but no partials buffer
+    // and no dispatch, so the path allocates nothing.
+    T acc = identity;
+    for (size_t c = 0; c < chunks; ++c) {
+      const size_t lo = begin + c * grain;
+      const size_t hi = std::min(end, lo + grain);
+      acc = combine(acc, map_chunk(lo, hi));
     }
+    return acc;
   }
   std::vector<T> partials(chunks, identity);
   ParallelFor(0, chunks, 1, [&](size_t chunk_begin, size_t chunk_end) {

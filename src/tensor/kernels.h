@@ -1,7 +1,7 @@
-// Private to rll_tensor: the entry points of the vector kernels (GEMM,
-// tanh, exp, the sigmoid, the logistic-regression pass and the training
-// step's elementwise loops), built once per vector width from the one
-// source in kernels.inc.
+// Private to rll_tensor: the vector kernels (GEMM, tanh, exp, the sigmoid,
+// the logistic-regression pass and the training step's elementwise loops),
+// built once per vector width from the one source in kernels.inc. Each
+// build exports one table of them, a Level.
 //
 //   baseline  2 lanes: SSE2 on x86-64, NEON on aarch64 (every build)
 //   avx2      4 lanes: kernels_avx2.cc, -mavx2 (x86-64 builds only)
@@ -17,8 +17,8 @@
 //
 // Rules for the per-level files, which the `tensor.kernel_symbols` ctest
 // checks with nm: each one includes kernels.inc inside an anonymous
-// namespace and defines the thirteen entry points below and nothing else
-// with external linkage. It includes no header that defines an inline
+// namespace and defines its Table() below and nothing else with external
+// linkage. It includes no header that defines an inline
 // function or template that another file also compiles: the linker keeps
 // one copy of such a function for the whole program, and if that were the
 // -mavx512f copy, CPUs without AVX-512 would die of SIGILL wherever it is
@@ -95,96 +95,57 @@ struct AdamOperands {
   double weight_decay;
 };
 
-namespace baseline {
-// Rows [row_begin, row_end) of C. k ≥ 1.
-void GemmRows(const GemmOperands* g, size_t row_begin, size_t row_end);
-// x[i] = tanh(x[i]) for i in [0, n).
-void Tanh(double* x, size_t n);
-// x[i] = e^x[i] for i in [0, n).
-void Exp(double* x, size_t n);
-// x[i] = σ(x[i]) = 1/(1 + e^−x[i]) for i in [0, n).
-void Sigmoid(double* x, size_t n);
-// p[i] = σ(z_i) for i in [row_begin, row_end).
-void LogisticProba(const LogisticOperands* op, size_t row_begin,
-                   size_t row_end, double* p);
-// With err_i = (σ(z_i) − t_i)·s_i / weight_sum over all n rows:
-// grad_w[j] = Σ err_i·x_ij and *grad_b = Σ err_i, each summed over i
-// ascending from +0.
-void LogisticGradient(const LogisticOperands* op, double* grad_w,
-                      double* grad_b);
-// y[i] += x[i] for i in [0, n).
-void Add(double* y, const double* x, size_t n);
-// y[r][c] += bias[c] over the rows × cols row-major y.
-void AddBias(double* y, size_t rows, size_t cols, const double* bias);
-// y[r][c] = tanh(y[r][c] + bias[c]), Tanh's tanh.
-void AddBiasTanh(double* y, size_t rows, size_t cols, const double* bias);
-// dz[i] = dy[i]·(1 − y[i]·y[i]) for i in [0, n).
-void TanhGrad(const double* y, const double* dy, double* dz, size_t n);
-// out[c] = Σ a[r][c] over r ascending from +0, for c in [0, cols).
-void ColSum(const double* a, size_t rows, size_t cols, double* out);
-// Rows [row_begin, row_end) of the row-cosine gradients.
-void RowCosineGrad(const RowCosineOperands* op, size_t row_begin,
-                   size_t row_end);
-void AdamStep(const AdamOperands* op);
-}  // namespace baseline
-
-namespace avx2 {
-void GemmRows(const GemmOperands* g, size_t row_begin, size_t row_end);
-void Tanh(double* x, size_t n);
-void Exp(double* x, size_t n);
-void Sigmoid(double* x, size_t n);
-void LogisticProba(const LogisticOperands* op, size_t row_begin,
-                   size_t row_end, double* p);
-void LogisticGradient(const LogisticOperands* op, double* grad_w,
-                      double* grad_b);
-void Add(double* y, const double* x, size_t n);
-void AddBias(double* y, size_t rows, size_t cols, const double* bias);
-void AddBiasTanh(double* y, size_t rows, size_t cols, const double* bias);
-void TanhGrad(const double* y, const double* dy, double* dz, size_t n);
-void ColSum(const double* a, size_t rows, size_t cols, double* out);
-void RowCosineGrad(const RowCosineOperands* op, size_t row_begin,
-                   size_t row_end);
-void AdamStep(const AdamOperands* op);
-}  // namespace avx2
-
-namespace avx512f {
-void GemmRows(const GemmOperands* g, size_t row_begin, size_t row_end);
-void Tanh(double* x, size_t n);
-void Exp(double* x, size_t n);
-void Sigmoid(double* x, size_t n);
-void LogisticProba(const LogisticOperands* op, size_t row_begin,
-                   size_t row_end, double* p);
-void LogisticGradient(const LogisticOperands* op, double* grad_w,
-                      double* grad_b);
-void Add(double* y, const double* x, size_t n);
-void AddBias(double* y, size_t rows, size_t cols, const double* bias);
-void AddBiasTanh(double* y, size_t rows, size_t cols, const double* bias);
-void TanhGrad(const double* y, const double* dy, double* dz, size_t n);
-void ColSum(const double* a, size_t rows, size_t cols, double* out);
-void RowCosineGrad(const RowCosineOperands* op, size_t row_begin,
-                   size_t row_end);
-void AdamStep(const AdamOperands* op);
-}  // namespace avx512f
-
-// One vector level's entry points. ops.cc picks one per process, the
-// widest the CPU has (KernelIsa() in ops.h names it), and Active()
-// returns it to the rest of rll_tensor.
+// One vector level's kernels: ops.cc picks one per process, the widest the
+// CPU has (KernelIsa() in ops.h names it), and Active() returns it to the
+// rest of rll_tensor.
 struct Level {
+  // "avx512f", "avx2", "sse2" or "neon".
   const char* name;
-  void (*gemm_rows)(const GemmOperands*, size_t, size_t);
-  void (*tanh)(double*, size_t);
-  void (*exp)(double*, size_t);
-  void (*sigmoid)(double*, size_t);
-  void (*logistic_proba)(const LogisticOperands*, size_t, size_t, double*);
-  void (*logistic_gradient)(const LogisticOperands*, double*, double*);
-  void (*add)(double*, const double*, size_t);
-  void (*add_bias)(double*, size_t, size_t, const double*);
-  void (*add_bias_tanh)(double*, size_t, size_t, const double*);
-  void (*tanh_grad)(const double*, const double*, double*, size_t);
-  void (*col_sum)(const double*, size_t, size_t, double*);
-  void (*row_cosine_grad)(const RowCosineOperands*, size_t, size_t);
-  void (*adam_step)(const AdamOperands*);
+  // Rows [row_begin, row_end) of C. k ≥ 1.
+  void (*gemm_rows)(const GemmOperands& g, size_t row_begin, size_t row_end);
+  // x[i] = tanh(x[i]) for i in [0, n).
+  void (*tanh)(double* x, size_t n);
+  // x[i] = e^x[i] for i in [0, n).
+  void (*exp)(double* x, size_t n);
+  // x[i] = σ(x[i]) = 1/(1 + e^−x[i]) for i in [0, n).
+  void (*sigmoid)(double* x, size_t n);
+  // p[i] = σ(z_i) for i in [row_begin, row_end).
+  void (*logistic_proba)(const LogisticOperands& op, size_t row_begin,
+                         size_t row_end, double* p);
+  // With err_i = (σ(z_i) − t_i)·s_i / weight_sum over all n rows:
+  // grad_w[j] = Σ err_i·x_ij and *grad_b = Σ err_i, each summed over i
+  // ascending from +0.
+  void (*logistic_gradient)(const LogisticOperands& op, double* grad_w,
+                            double* grad_b);
+  // y[i] += x[i] for i in [0, n).
+  void (*add)(double* y, const double* x, size_t n);
+  // y[r][c] += bias[c] over the rows × cols row-major y.
+  void (*add_bias)(double* y, size_t rows, size_t cols, const double* bias);
+  // y[r][c] = tanh(y[r][c] + bias[c]), with the tanh kernel's tanh.
+  void (*add_bias_tanh)(double* y, size_t rows, size_t cols,
+                        const double* bias);
+  // dz[i] = dy[i]·(1 − y[i]·y[i]) for i in [0, n).
+  void (*tanh_grad)(const double* y, const double* dy, double* dz, size_t n);
+  // out[c] = Σ a[r][c] over r ascending from +0, for c in [0, cols).
+  void (*col_sum)(const double* a, size_t rows, size_t cols, double* out);
+  // Rows [row_begin, row_end) of the row-cosine gradients.
+  void (*row_cosine_grad)(const RowCosineOperands& op, size_t row_begin,
+                          size_t row_end);
+  // One Adam update of op.n parameters in place.
+  void (*adam_step)(const AdamOperands& op);
 };
+
+// Each level's table, defined by its kernels_<level>.cc; avx2 and avx512f
+// exist on x86-64 builds only.
+namespace baseline {
+const Level& Table();
+}
+namespace avx2 {
+const Level& Table();
+}
+namespace avx512f {
+const Level& Table();
+}
 
 const Level& Active();
 

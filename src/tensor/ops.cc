@@ -50,53 +50,34 @@ size_t ElemGrain(size_t n) {
   return n < kElemSerialSize ? std::max<size_t>(n, 1) : kElemGrain;
 }
 
-// Runs body(lo, hi) over [0, n) in chunks of `grain`. A range that is
-// one chunk runs here, without building ParallelFor's std::function, so
-// a small map (a one-row embed, a training-step layer) allocates nothing.
-template <typename F>
-void ForChunks(size_t n, size_t grain, const F& body) {
-  if (grain >= n) {
-    body(0, n);
-    return;
-  }
-  ParallelFor(0, n, grain, body);
-}
-
 // The vector kernels run at one vector level per process, picked on first
 // use from the CPU features glibc reports active. These, unlike
 // __builtin_cpu_supports, honour GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX512F
 // (or -AVX2), so one process can be held to a narrower level. The 8-lane
 // build may use any AVX2 instruction as well, so it needs both features.
 // Every level returns the same bits (kernels.h).
-#define RLL_KERNEL_LEVEL(name, ns)                                         \
-  kernels::Level {                                                        \
-    name, ns::GemmRows, ns::Tanh, ns::Exp, ns::Sigmoid, ns::LogisticProba, \
-        ns::LogisticGradient, ns::Add, ns::AddBias, ns::AddBiasTanh,       \
-        ns::TanhGrad, ns::ColSum, ns::RowCosineGrad, ns::AdamStep          \
-  }
-
-kernels::Level PickKernelLevel() {
+const kernels::Level& PickKernelLevel() {
 #if defined(__x86_64__) && __has_include(<sys/platform/x86.h>)
   if (CPU_FEATURE_ACTIVE(AVX512F) && CPU_FEATURE_ACTIVE(AVX2)) {
-    return RLL_KERNEL_LEVEL("avx512f", kernels::avx512f);
+    return kernels::avx512f::Table();
   }
-  if (CPU_FEATURE_ACTIVE(AVX2)) {
-    return RLL_KERNEL_LEVEL("avx2", kernels::avx2);
-  }
+  if (CPU_FEATURE_ACTIVE(AVX2)) return kernels::avx2::Table();
 #endif
-#if defined(__aarch64__)
-  return RLL_KERNEL_LEVEL("neon", kernels::baseline);
-#else
-  return RLL_KERNEL_LEVEL("sse2", kernels::baseline);
-#endif
+  return kernels::baseline::Table();
 }
 
-#undef RLL_KERNEL_LEVEL
+// Applies one of the level's elementwise maps to m in place. Each element
+// depends on its own input alone, so the partition is bitwise-stable.
+void MapInPlace(Matrix& m, void (*map)(double*, size_t)) {
+  double* d = m.data();
+  ParallelFor(0, m.size(), ElemGrain(m.size()),
+              [&](size_t lo, size_t hi) { map(d + lo, hi - lo); });
+}
 
 }  // namespace
 
 const kernels::Level& kernels::Active() {
-  static const Level level = PickKernelLevel();
+  static const Level& level = PickKernelLevel();
   return level;
 }
 
@@ -131,7 +112,7 @@ void Gemm(const Matrix& a, bool trans_a, const Matrix& b, bool trans_b,
   const auto gemm_rows = kernels::Active().gemm_rows;
   ParallelFor(0, m, GemmRowGrain(m, k * n),
               [&](size_t row_begin, size_t row_end) {
-                gemm_rows(&g, row_begin, row_end);
+                gemm_rows(g, row_begin, row_end);
               });
   RLL_DCHECK_FINITE(out);
 }
@@ -227,26 +208,11 @@ Matrix Map(const Matrix& a, const std::function<double(double)>& f) {
   return c;
 }
 
-void TanhInPlace(Matrix& m) {
-  double* d = m.data();
-  const auto tanh_range = kernels::Active().tanh;
-  ForChunks(m.size(), ElemGrain(m.size()),
-            [&](size_t lo, size_t hi) { tanh_range(d + lo, hi - lo); });
-}
+void TanhInPlace(Matrix& m) { MapInPlace(m, kernels::Active().tanh); }
 
-void ExpInPlace(Matrix& m) {
-  double* d = m.data();
-  const auto exp_range = kernels::Active().exp;
-  ForChunks(m.size(), ElemGrain(m.size()),
-            [&](size_t lo, size_t hi) { exp_range(d + lo, hi - lo); });
-}
+void ExpInPlace(Matrix& m) { MapInPlace(m, kernels::Active().exp); }
 
-void SigmoidInPlace(Matrix& m) {
-  double* d = m.data();
-  const auto sigmoid_range = kernels::Active().sigmoid;
-  ForChunks(m.size(), ElemGrain(m.size()),
-            [&](size_t lo, size_t hi) { sigmoid_range(d + lo, hi - lo); });
-}
+void SigmoidInPlace(Matrix& m) { MapInPlace(m, kernels::Active().sigmoid); }
 
 void AddBiasActivate(Matrix& m, const Matrix& bias, Activation activation) {
   RLL_CHECK_EQ(bias.rows(), 1u);
@@ -256,7 +222,8 @@ void AddBiasActivate(Matrix& m, const Matrix& bias, Activation activation) {
   const auto pass = activation == Activation::kTanh ? k.add_bias_tanh
                                                     : k.add_bias;
   // Rows are independent, so the row partition is bitwise-stable.
-  ForChunks(m.rows(), RowOpGrain(m.rows(), cols), [&](size_t lo, size_t hi) {
+  const size_t grain = RowOpGrain(m.rows(), cols);
+  ParallelFor(0, m.rows(), grain, [&](size_t lo, size_t hi) {
     double* y = m.data() + lo * cols;
     const size_t n = (hi - lo) * cols;
     pass(y, hi - lo, cols, bias.data());
@@ -307,10 +274,9 @@ void LogisticProba(const Matrix& x, const Matrix& w, double b, double* p) {
   const kernels::LogisticOperands op{
       x.data(), x.rows(), x.cols(), w.data(), b, nullptr, nullptr, 0.0};
   const auto proba = kernels::Active().logistic_proba;
-  // Rows are independent, so the row partition is bitwise-stable; one
-  // chunk (a served one-row predict) allocates nothing.
-  ForChunks(x.rows(), GemmRowGrain(x.rows(), x.cols()),
-            [&](size_t lo, size_t hi) { proba(&op, lo, hi, p); });
+  // Rows are independent, so the row partition is bitwise-stable.
+  ParallelFor(0, x.rows(), GemmRowGrain(x.rows(), x.cols()),
+              [&](size_t lo, size_t hi) { proba(op, lo, hi, p); });
 }
 
 void LogisticGradient(const Matrix& x, const Matrix& w, double b,
@@ -326,20 +292,15 @@ void LogisticGradient(const Matrix& x, const Matrix& w, double b,
   const kernels::LogisticOperands op{
       x.data(),       x.rows(), x.cols(), w.data(), b,
       targets.data(), sample_weights.data(), weight_sum};
-  kernels::Active().logistic_gradient(&op, grad_w.data(), grad_b);
+  kernels::Active().logistic_gradient(op, grad_w.data(), grad_b);
 }
 
 double Sum(const Matrix& a) {
-  const size_t n = a.size();
-  if (n <= kReduceGrain) {
-    double s = 0.0;
-    for (size_t i = 0; i < n; ++i) s += a[i];
-    return s;
-  }
-  // Chunk boundaries depend only on n, so the tree shape (and the FP
-  // result) is identical at any thread count.
+  // Chunk boundaries depend only on the size, so the tree shape (and the
+  // FP result) is identical at any thread count. One chunk's sum never
+  // ends at −0, so the fold's +0 + s leaves its bits.
   return ParallelReduce(
-      0, n, kReduceGrain, 0.0,
+      0, a.size(), kReduceGrain, 0.0,
       [&](size_t lo, size_t hi) {
         double s = 0.0;
         for (size_t i = lo; i < hi; ++i) s += a[i];
@@ -390,14 +351,8 @@ Matrix ColMean(const Matrix& a) {
 
 double Dot(const Matrix& a, const Matrix& b) {
   RLL_CHECK(a.SameShape(b));
-  const size_t n = a.size();
-  if (n <= kReduceGrain) {
-    double s = 0.0;
-    for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
-    return s;
-  }
   return ParallelReduce(
-      0, n, kReduceGrain, 0.0,
+      0, a.size(), kReduceGrain, 0.0,
       [&](size_t lo, size_t hi) {
         double s = 0.0;
         for (size_t i = lo; i < hi; ++i) s += a[i] * b[i];
@@ -453,7 +408,7 @@ void RowCosineGrad(const Matrix& a, const Matrix& b, const Matrix& cos,
       ga == nullptr ? nullptr : ga->data(),
       gb == nullptr ? nullptr : gb->data(),
       a.cols()};
-  kernels::Active().row_cosine_grad(&op, 0, a.rows());
+  kernels::Active().row_cosine_grad(op, 0, a.rows());
 }
 
 void AdamUpdate(const AdamCoefficients& c, const Matrix& grad, Matrix& value,
@@ -475,7 +430,7 @@ void AdamUpdate(const AdamCoefficients& c, const Matrix& grad, Matrix& value,
                                  c.bias_correction2,
                                  c.eps,
                                  c.weight_decay};
-  kernels::Active().adam_step(&op);
+  kernels::Active().adam_step(op);
 }
 
 Matrix SoftmaxRows(const Matrix& a) {

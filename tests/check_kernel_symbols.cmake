@@ -1,15 +1,11 @@
 # Checks the per-level kernel objects in librll_tensor.a (src/tensor/
-# kernels_<level>.cc): each must define the thirteen entry points
-# rll::kernels::<level>::{GemmRows, Tanh, Exp, Sigmoid, LogisticProba,
-# LogisticGradient, Add, AddBias, AddBiasTanh, TanhGrad, ColSum,
-# RowCosineGrad, AdamStep} and no other global symbol, and no weak (W/V) or
-# unique (u) symbol at all. An inline function or template that another
-# file also compiles would show up here as a weak symbol, and the linker
-# could keep its -mavx512f copy for the whole program (src/tensor/
-# kernels.h). Usage:
+# kernels_<level>.cc): each must define exactly one global symbol, its
+# table rll::kernels::<level>::Table(), and no weak (W/V) or unique (u)
+# symbol at all. An inline function or template that another file also
+# compiles would show up here as a weak symbol, and the linker could keep
+# its -mavx512f copy for the whole program (src/tensor/kernels.h). Usage:
 #   cmake -DNM=nm -DARCHIVE=librll_tensor.a -DLEVELS=baseline,avx2,avx512f \
 #         -P check_kernel_symbols.cmake
-cmake_policy(SET CMP0057 NEW)  # if(... IN_LIST ...)
 foreach(var NM ARCHIVE LEVELS)
   if(NOT DEFINED ${var} OR "${${var}}" STREQUAL "")
     message(FATAL_ERROR "check_kernel_symbols: -D${var}=... is required")
@@ -20,14 +16,13 @@ execute_process(COMMAND "${NM}" -A -C --defined-only "${ARCHIVE}"
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${NM} failed on ${ARCHIVE}: ${nm_error}")
 endif()
-set(entry_points GemmRows Tanh Exp Sigmoid LogisticProba LogisticGradient
-  Add AddBias AddBiasTanh TanhGrad ColSum RowCosineGrad AdamStep)
 string(REPLACE "," ";" levels "${LEVELS}")
 string(REPLACE "\n" ";" lines "${listing}")
 set(failures "")
 foreach(level IN LISTS levels)
-  set(found "")
+  set(table "rll::kernels::${level}::Table()")
   set(member_seen FALSE)
+  set(table_seen FALSE)
   foreach(line IN LISTS lines)
     # <archive>:<member>:<value> <type> <name>
     if(NOT line MATCHES ":kernels_${level}\\.[^:]*:[0-9a-fA-F]* (.) (.*)$")
@@ -40,12 +35,8 @@ foreach(level IN LISTS levels)
       list(APPEND failures
         "kernels_${level}: weak or unique symbol ${type} ${name}")
     elseif(type MATCHES "^[A-Z]$")
-      set(entry "")
-      if(name MATCHES "^rll::kernels::${level}::([A-Za-z]+)\\(")
-        set(entry "${CMAKE_MATCH_1}")
-      endif()
-      if(entry IN_LIST entry_points)
-        list(APPEND found "${entry}")
+      if(name STREQUAL table AND NOT table_seen)
+        set(table_seen TRUE)
       else()
         list(APPEND failures
           "kernels_${level}: extra global symbol ${type} ${name}")
@@ -54,16 +45,12 @@ foreach(level IN LISTS levels)
   endforeach()
   if(NOT member_seen)
     list(APPEND failures "kernels_${level}: no such object in ${ARCHIVE}")
-  else()
-    foreach(entry IN LISTS entry_points)
-      if(NOT entry IN_LIST found)
-        list(APPEND failures "kernels_${level}: missing ${entry}")
-      endif()
-    endforeach()
+  elseif(NOT table_seen)
+    list(APPEND failures "kernels_${level}: missing ${table}")
   endif()
 endforeach()
 if(failures)
   string(REPLACE ";" "\n  " report "${failures}")
   message(FATAL_ERROR "kernel object symbols:\n  ${report}")
 endif()
-message(STATUS "kernel objects define only their entry points: ${LEVELS}")
+message(STATUS "kernel objects define only their Table(): ${LEVELS}")

@@ -1046,7 +1046,7 @@ TEST(TrainingKernelTest, RowCosineGradMatchesTheScalarLoop) {
       const kernels::RowCosineOperands op{
           av.data() + off, bv.data() + off, cos.data(),        norms.data(),
           grad.data(),     gav.data() + off, gbv.data() + off, cols};
-      kernels::Active().row_cosine_grad(&op, 0, rows);
+      kernels::Active().row_cosine_grad(op, 0, rows);
       const std::vector<double> got_a(gav.begin() + off, gav.end());
       const std::vector<double> got_b(gbv.begin() + off, gbv.end());
       ASSERT_TRUE(SameBits(
@@ -1094,7 +1094,7 @@ TEST(TrainingKernelTest, AdamUpdateMatchesTheScalarLoop) {
             beta1,              beta2,             1.0 - beta1,
             1.0 - beta2,        bc1,               bc2,
             eps,                weight_decay};
-        kernels::Active().adam_step(&op);
+        kernels::Active().adam_step(op);
         ASSERT_TRUE(SameBits(value, want_value)) << "n=" << n << " off=" << off;
         ASSERT_TRUE(SameBits(m, want_m)) << "n=" << n << " off=" << off;
         ASSERT_TRUE(SameBits(v, want_v)) << "n=" << n << " off=" << off;
