@@ -44,7 +44,7 @@ struct Metric {
   /// lower-is-better whatever the benchmark is called. Unset (wall_ms,
   /// which BenchReporter also fills with counts and ratios, and bare
   /// numbers) means DirectionFor(name).
-  std::optional<Direction> direction;
+  std::optional<Direction> direction = std::nullopt;
 };
 
 /// Classifies a metric name by keyword ("latency", "_ms", "throughput",
