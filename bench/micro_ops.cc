@@ -331,11 +331,11 @@ void BM_PcaFit(benchmark::State& state) {
 }
 BENCHMARK(BM_PcaFit);
 
-// LogisticRegression::Fit for all 500 epochs (tolerance 0) on 32-dim
-// embeddings: at the fold shape (704 train rows, perfbench train's
-// classify.fit_ms) and at the serve corpus shape (20,000 rows, serve
-// set-up's and every reload's classify.head_fit_ms). allocs_per_op counts
-// the fit's own buffers and metric lookups, none per epoch.
+// LogisticRegression::Fit to its default tolerance on 32-dim embeddings:
+// at the fold shape (704 train rows, perfbench train's classify.fit_ms)
+// and at the serve corpus shape (20,000 rows, serve set-up's and every
+// reload's classify.head_fit_ms). `iterations` is the Newton steps a fit
+// takes; allocs_per_op counts the fit's own buffers and metric lookups.
 void BM_LogisticRegressionFit(benchmark::State& state, size_t rows) {
   Rng rng(12);
   const Matrix x = RandomNormal(rows, 32, &rng);
@@ -343,11 +343,12 @@ void BM_LogisticRegressionFit(benchmark::State& state, size_t rows) {
   for (size_t i = 0; i < rows; ++i) {
     labels[i] = x(i, 0) + rng.Normal() > 0.0 ? 1 : 0;
   }
-  classify::LogisticRegression lr({.tolerance = 0.0});
+  classify::LogisticRegression lr;
   AllocCounter allocs(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(lr.Fit(x, labels));
   }
+  state.counters["iterations"] = lr.iterations();
 }
 BENCHMARK_CAPTURE(BM_LogisticRegressionFit, fold_704x32, 704)
     ->Unit(benchmark::kMillisecond);

@@ -1,7 +1,8 @@
 // L2-regularized binary logistic regression — the paper's "basic classifier"
-// applied on top of every representation (§IV-A). Trained full-batch with
-// gradient descent + momentum; supports soft targets and per-sample weights
-// so the SoftProb baseline (Raykar et al.) can reuse it directly.
+// applied on top of every representation (§IV-A). Trained full-batch by
+// damped Newton's method to a gradient tolerance; supports soft targets and
+// per-sample weights so the SoftProb baseline (Raykar et al.) can reuse it
+// directly.
 
 #ifndef RLL_CLASSIFY_LOGISTIC_REGRESSION_H_
 #define RLL_CLASSIFY_LOGISTIC_REGRESSION_H_
@@ -14,9 +15,6 @@
 namespace rll::classify {
 
 struct LogisticRegressionOptions {
-  double learning_rate = 0.5;
-  double momentum = 0.9;
-  int max_epochs = 500;
   /// L2 penalty on weights (not the intercept).
   double l2 = 1e-3;
   /// Stop when the gradient's infinity norm drops below this.
@@ -25,11 +23,38 @@ struct LogisticRegressionOptions {
 
 class LogisticRegression {
  public:
+  /// Newton steps a fit takes at most: a guard against a fit that cannot
+  /// reach the tolerance, not a budget. Fits on the paper's data stop on
+  /// the tolerance in a handful of steps.
+  static constexpr int kMaxIterations = 100;
+
   explicit LogisticRegression(LogisticRegressionOptions options = {})
       : options_(options) {}
 
   /// Fits on x (n×dim) and targets in [0,1] (hard 0/1 labels or soft
   /// probabilities). Optional per-sample weights (empty → all 1).
+  ///
+  /// Minimizes f(w, b) = Σ sᵢ·CE(tᵢ, σ(xᵢ·w + b)) / Σ sᵢ + ½·l2·‖w‖² by
+  /// damped Newton from w = 0, b = 0. It stops once ‖∇f‖∞ < tolerance,
+  /// after kMaxIterations steps, or when it finds no step that lowers ‖∇f‖
+  /// enough. Each step:
+  ///  * ∇f is LogisticGradient's plus l2·w, and the scores pᵢ are
+  ///    LogisticProba's (tensor/ops.h).
+  ///  * H = X̃ᵀDX̃ plus l2 on the weights' diagonal, X̃ = [X 1] and
+  ///    Dᵢ = pᵢ·(1 − pᵢ)·sᵢ / Σs. X̃ goes in chunks of 256 rows: each is
+  ///    scaled row by row by √Dᵢ into one buffer, multiplied by itself
+  ///    with Gemm, and added to H in chunk order. X is never copied whole.
+  ///  * Δ solves H·Δ = −∇f by Cholesky. A pivot at or below 1e-10 of its
+  ///    diagonal entry (a singular system, such as l2 = 0 with a constant
+  ///    column) restarts the factor with 1e-8·max Hⱼⱼ added to the
+  ///    diagonal, 100× more on each further restart (at most 8).
+  ///  * The step is αΔ for the first α = 1, ½, ¼, … (at most 30 halvings)
+  ///    with ‖∇f(θ + αΔ)‖² ≤ (1 − 2·10⁻⁴·α)·‖∇f(θ)‖²: Armijo on ½‖∇f‖²,
+  ///    whose slope along the Newton direction is −‖∇f‖². That gradient is
+  ///    the next step's.
+  /// Each operation is an IEEE +, −, ×, ÷ or √ (no libm) and each sum runs
+  /// in a fixed order; the kernels give the same bits at any thread count
+  /// and vector level, and so does the fitted head.
   Status Fit(const Matrix& x, const std::vector<double>& targets,
              const std::vector<double>& sample_weights = {});
 
@@ -46,12 +71,15 @@ class LogisticRegression {
   bool fitted() const { return fitted_; }
   const Matrix& weights() const { return weights_; }  // dim×1
   double bias() const { return bias_; }
+  /// Newton steps the last successful Fit took.
+  int iterations() const { return iterations_; }
 
  private:
   LogisticRegressionOptions options_;
   bool fitted_ = false;
   Matrix weights_;  // dim×1
   double bias_ = 0.0;
+  int iterations_ = 0;
 };
 
 }  // namespace rll::classify

@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "classify/logistic_regression.h"
 #include "classify/metrics.h"
 #include "classify/pca.h"
 #include "classify/ranking_metrics.h"
 #include "common/rng.h"
+#include "common/threading.h"
 #include "kernel_isa_expect.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -131,7 +133,7 @@ TEST(LogisticRegressionTest, SoftTargetsShiftDecision) {
   // Same feature, target 0.9 vs 0.1 → predicted prob near the target.
   Matrix x(100, 1, 1.0);
   std::vector<double> targets(100, 0.9);
-  LogisticRegression lr({.learning_rate = 0.5, .max_epochs = 2000, .l2 = 0.0});
+  LogisticRegression lr({.l2 = 0.0});
   ASSERT_TRUE(lr.Fit(x, targets).ok());
   EXPECT_NEAR(lr.PredictProba(x)[0], 0.9, 0.02);
 }
@@ -141,7 +143,7 @@ TEST(LogisticRegressionTest, SampleWeightsTiltTheFit) {
   Matrix x(4, 1, 1.0);
   const std::vector<int> labels = {1, 1, 0, 0};
   const std::vector<double> weights = {5.0, 5.0, 1.0, 1.0};
-  LogisticRegression lr({.learning_rate = 0.5, .max_epochs = 2000, .l2 = 0.0});
+  LogisticRegression lr({.l2 = 0.0});
   ASSERT_TRUE(lr.Fit(x, labels, weights).ok());
   EXPECT_GT(lr.PredictProba(x)[0], 0.5);
 }
@@ -216,74 +218,187 @@ TEST(LogisticRegressionTest, RunsTheWidestKernelLevelAllowed) {
 }
 
 // The head's contract, one row and one term at a time, with no vectors:
-// the bitwise reference for the logistic kernels (tensor/kernels.inc) at
-// every level. A row scores z = b + (((P0+P1)+(P2+P3)) + ((P4+P5)+(P6+P7)))
-// with P_l the sum of x_j·w_j over j ≡ l (mod 8) ascending from +0, and
-// σ(z) comes from the Cody–Waite/Padé e^−|z| below; each gradient element
-// and the error sum run over rows ascending from +0. Finite inputs only.
+// the bitwise reference for LogisticRegression::Fit and the logistic
+// kernels (tensor/kernels.inc) at every level. A row scores
+// z = b + (((P0+P1)+(P2+P3)) + ((P4+P5)+(P6+P7))) with P_l the sum of
+// x_j·w_j over j ≡ l (mod 8) ascending from +0, and σ(z) comes from the
+// Cody–Waite/Padé e^−|z| below; each gradient element and the error sum run
+// over rows ascending from +0. The fit is Newton's method as
+// logistic_regression.h states it: the Hessian summed over 256-row chunks
+// in Gemm's order, its Cholesky factor with the shift rule, and the
+// Armijo search on ½‖∇f‖². Finite inputs only.
 class OneRowLoopFit {
  public:
   explicit OneRowLoopFit(LogisticRegressionOptions options)
       : options_(options) {}
 
-  // Returns the number of epochs run.
-  int Fit(const Matrix& x, const std::vector<double>& targets,
-          const std::vector<double>& w) {
-    const size_t n = x.rows();
+  // ∇f at (w, b): the weights' entries, then the bias's.
+  static std::vector<double> Gradient(const Matrix& x,
+                                      const std::vector<double>& targets,
+                                      const std::vector<double>& s,
+                                      double l2, const Matrix& w, double b) {
     const size_t dim = x.cols();
     double wsum = 0.0;
-    for (double v : w) wsum += v;
+    for (const double v : s) wsum += v;
+    std::vector<double> g(dim + 1, 0.0);
+    for (size_t i = 0; i < x.rows(); ++i) {
+      const double* row = x.row_data(i);
+      const double err =
+          (Sigmoid(Score(row, dim, w, b)) - targets[i]) * s[i] / wsum;
+      for (size_t j = 0; j < dim; ++j) g[j] += err * row[j];
+      g[dim] += err;
+    }
+    for (size_t j = 0; j < dim; ++j) g[j] += l2 * w(j, 0);
+    return g;
+  }
+
+  static double MaxAbs(const std::vector<double>& g) {
+    double max = 0.0;
+    for (const double v : g) max = std::max(max, std::fabs(v));
+    return max;
+  }
+
+  // Returns the number of Newton steps taken.
+  int Fit(const Matrix& x, const std::vector<double>& targets,
+          const std::vector<double>& s) {
+    const size_t n = x.rows();
+    const size_t dim = x.cols();
+    const size_t m = dim + 1;
+    double wsum = 0.0;
+    for (const double v : s) wsum += v;
     weights_ = Matrix(dim, 1);
     bias_ = 0.0;
-    Matrix vel_w(dim, 1);
-    double vel_b = 0.0;
-
-    int epochs_run = 0;
-    for (int epoch = 0; epoch < options_.max_epochs; ++epoch) {
-      epochs_run = epoch + 1;
-      // Gradient of the weighted mean cross-entropy + L2.
-      Matrix grad_w(dim, 1);
-      double grad_b = 0.0;
+    std::vector<double> g = Gradient(x, targets, s, options_.l2, weights_, 0.0);
+    int steps = 0;
+    while (!(MaxAbs(g) < options_.tolerance) &&
+           steps < LogisticRegression::kMaxIterations) {
+      // The rows of X̃ = [X 1] scaled by √D, D = p(1 − p)·s / Σs.
+      Matrix scaled(n, m);
       for (size_t i = 0; i < n; ++i) {
-        const double* row = x.row_data(i);
-        const double err =
-            (Sigmoid(Score(row, dim)) - targets[i]) * w[i] / wsum;
-        for (size_t j = 0; j < dim; ++j) grad_w(j, 0) += err * row[j];
-        grad_b += err;
+        const double p = Sigmoid(Score(x.row_data(i), dim, weights_, bias_));
+        const double root = std::sqrt(p * (1.0 - p) * s[i] / wsum);
+        for (size_t j = 0; j < dim; ++j) scaled(i, j) = x(i, j) * root;
+        scaled(i, dim) = root;
       }
-      double max_grad = std::fabs(grad_b);
-      for (size_t j = 0; j < dim; ++j) {
-        grad_w(j, 0) += options_.l2 * weights_(j, 0);
-        max_grad = std::max(max_grad, std::fabs(grad_w(j, 0)));
+      // H: each element summed over a chunk's rows ascending from +0, the
+      // chunks' sums added in order, then l2 on the weights' diagonal.
+      Matrix h(m, m);
+      for (size_t c = 0; c < n; c += 256) {
+        for (size_t a = 0; a < m; ++a) {
+          for (size_t b = 0; b < m; ++b) {
+            double sum = 0.0;
+            for (size_t i = c; i < std::min(n, c + 256); ++i) {
+              sum += scaled(i, a) * scaled(i, b);
+            }
+            h(a, b) += sum;
+          }
+        }
       }
-      for (size_t j = 0; j < dim; ++j) {
-        vel_w(j, 0) = options_.momentum * vel_w(j, 0) - options_.learning_rate * grad_w(j, 0);
-        weights_(j, 0) += vel_w(j, 0);
+      for (size_t j = 0; j < dim; ++j) h(j, j) += options_.l2;
+      std::vector<double> step;
+      if (!Solve(h, g, &step, &restarts_)) break;
+      // Halve α from 1 until ‖∇f‖² falls by the Armijo fraction.
+      bool stepped = false;
+      double alpha = 1.0;
+      for (int halving = 0; halving <= 30 && !stepped; ++halving) {
+        Matrix trial_w(dim, 1);
+        for (size_t j = 0; j < dim; ++j) {
+          trial_w(j, 0) = weights_(j, 0) + alpha * step[j];
+        }
+        const double trial_b = bias_ + alpha * step[dim];
+        std::vector<double> trial_g =
+            Gradient(x, targets, s, options_.l2, trial_w, trial_b);
+        if (SquaredNorm(trial_g) <=
+            (1.0 - 2.0 * 1e-4 * alpha) * SquaredNorm(g)) {
+          weights_ = trial_w;
+          bias_ = trial_b;
+          g = trial_g;
+          stepped = true;
+        } else {
+          ++halvings_;
+        }
+        alpha *= 0.5;
       }
-      vel_b = options_.momentum * vel_b - options_.learning_rate * grad_b;
-      bias_ += vel_b;
-      if (max_grad < options_.tolerance) break;
+      if (!stepped) break;
+      ++steps;
     }
-    return epochs_run;
+    return steps;
   }
 
   std::vector<double> PredictProba(const Matrix& x) const {
     std::vector<double> p(x.rows());
     for (size_t i = 0; i < x.rows(); ++i) {
-      p[i] = Sigmoid(Score(x.row_data(i), x.cols()));
+      p[i] = Sigmoid(Score(x.row_data(i), x.cols(), weights_, bias_));
     }
     return p;
   }
 
   const Matrix& weights() const { return weights_; }
   double bias() const { return bias_; }
+  // Shifted restarts of the factor and halvings of α, over every fit.
+  int restarts() const { return restarts_; }
+  int halvings() const { return halvings_; }
 
  private:
-  double Score(const double* row, size_t dim) const {
+  static double Score(const double* row, size_t dim, const Matrix& w,
+                      double b) {
     double part[8] = {};
-    for (size_t j = 0; j < dim; ++j) part[j % 8] += row[j] * weights_(j, 0);
-    return bias_ + (((part[0] + part[1]) + (part[2] + part[3])) +
-                    ((part[4] + part[5]) + (part[6] + part[7])));
+    for (size_t j = 0; j < dim; ++j) part[j % 8] += row[j] * w(j, 0);
+    return b + (((part[0] + part[1]) + (part[2] + part[3])) +
+                ((part[4] + part[5]) + (part[6] + part[7])));
+  }
+
+  static double SquaredNorm(const std::vector<double>& g) {
+    double sum = 0.0;
+    for (const double v : g) sum += v * v;
+    return sum;
+  }
+
+  // step = −(H + μI)⁻¹·g by Cholesky–Banachiewicz, row by row: μ = 0, and
+  // after a pivot at or below 1e-10 of its diagonal entry, 1e-8·max Hjj,
+  // then 100× more per restart, at most 8 restarts.
+  static bool Solve(const Matrix& h, const std::vector<double>& g,
+                    std::vector<double>* step, int* restarts) {
+    const size_t m = h.rows();
+    double scale = 0.0;
+    for (size_t j = 0; j < m; ++j) scale = std::max(scale, h(j, j));
+    double shift = 0.0;
+    for (int restart = 0; restart <= 8; ++restart) {
+      if (restart == 1) shift = 1e-8 * scale;
+      if (restart > 1) shift *= 100.0;
+      Matrix l(m, m);
+      bool factored = true;
+      for (size_t i = 0; i < m && factored; ++i) {
+        for (size_t j = 0; j < i; ++j) {
+          double v = h(i, j);
+          for (size_t k = 0; k < j; ++k) v -= l(i, k) * l(j, k);
+          l(i, j) = v / l(j, j);
+        }
+        const double diagonal = h(i, i) + shift;
+        double pivot = diagonal;
+        for (size_t k = 0; k < i; ++k) pivot -= l(i, k) * l(i, k);
+        factored = pivot > 1e-10 * diagonal;
+        l(i, i) = std::sqrt(pivot);
+      }
+      if (!factored) {
+        ++*restarts;
+        continue;
+      }
+      std::vector<double> y(m);
+      for (size_t i = 0; i < m; ++i) {
+        double v = -g[i];
+        for (size_t k = 0; k < i; ++k) v -= l(i, k) * y[k];
+        y[i] = v / l(i, i);
+      }
+      step->assign(m, 0.0);
+      for (size_t i = m; i-- > 0;) {
+        double v = y[i];
+        for (size_t k = i + 1; k < m; ++k) v -= l(k, i) * (*step)[k];
+        (*step)[i] = v / l(i, i);
+      }
+      return true;
+    }
+    return false;
   }
 
   // σ(z) from e = e^−|z| = 2^n·(q + p)/(q − p): n = round(x·log2 e)
@@ -314,32 +429,61 @@ class OneRowLoopFit {
   LogisticRegressionOptions options_;
   Matrix weights_;
   double bias_ = 0.0;
+  int restarts_ = 0;
+  int halvings_ = 0;
 };
 
 TEST(LogisticRegressionTest, FitMatchesOneRowLoopBitwise) {
   // Every tail length of the 8-, 4- and 2-row blocks, at the paper's
   // 32-dim embeddings and at an odd width that leaves a partial group of
   // eight columns; hard and soft targets, with and without sample weights;
-  // and a loose tolerance that stops the fit early. PredictProba must give
-  // the loop's bits too.
+  // a loose tolerance that stops the fit early; l2 = 0 with a constant
+  // column, whose singular Hessian takes the shift rule; and Cauchy
+  // features under labels that ignore them, where some full Newton steps
+  // raise ‖∇f‖ and the search halves α. The 704- and 705-row fits end on a
+  // partial Hessian chunk. PredictProba must give the loop's bits too.
+  // Every fit stops on its tolerance, below the cap: the gradient at the
+  // returned head, recomputed one row at a time, is below it.
+  enum class Design { kNormal, kConstantColumn, kCauchyNoise };
   Rng rng(9);
+  int restarts = 0;
+  int halvings = 0;
   const auto check = [&](size_t n, size_t dim, bool soft, bool weighted,
-                         const LogisticRegressionOptions& options) -> int {
-    const Matrix x = RandomNormal(n, dim, &rng);
+                         const LogisticRegressionOptions& options,
+                         Design design = Design::kNormal) -> int {
+    Matrix x = RandomNormal(n, dim, &rng);
+    if (design == Design::kConstantColumn) {
+      for (size_t i = 0; i < n; ++i) x(i, dim - 1) = 1.0;
+    }
+    if (design == Design::kCauchyNoise) {
+      for (size_t i = 0; i < x.size(); ++i) x[i] /= rng.Normal();
+    }
     std::vector<double> targets(n);
     std::vector<double> w(n, 1.0);
     for (size_t i = 0; i < n; ++i) {
-      const double p = 1.0 / (1.0 + std::exp(-2.0 * x(i, 0)));
+      const double p = design == Design::kCauchyNoise
+                           ? 0.5
+                           : 1.0 / (1.0 + std::exp(-2.0 * x(i, 0)));
       targets[i] = soft ? p : static_cast<double>(rng.Bernoulli(p));
       if (weighted) w[i] = rng.Uniform(0.1, 2.0);
     }
     OneRowLoopFit reference(options);
-    const int epochs = reference.Fit(x, targets, w);
+    const int steps = reference.Fit(x, targets, w);
+    restarts += reference.restarts();
+    halvings += reference.halvings();
     LogisticRegression lr(options);
     EXPECT_TRUE(lr.Fit(x, targets, weighted ? w : std::vector<double>{}).ok());
+    EXPECT_EQ(lr.iterations(), steps) << "n=" << n << " dim=" << dim;
+    EXPECT_LT(steps, LogisticRegression::kMaxIterations)
+        << "n=" << n << " dim=" << dim;
+    EXPECT_LT(OneRowLoopFit::MaxAbs(OneRowLoopFit::Gradient(
+                  x, targets, w, options.l2, lr.weights(), lr.bias())),
+              options.tolerance)
+        << "n=" << n << " dim=" << dim << " soft=" << soft
+        << " weighted=" << weighted;
     if (!lr.weights().SameShape(reference.weights())) {
       ADD_FAILURE() << "n=" << n << " dim=" << dim << ": weight shape";
-      return epochs;
+      return steps;
     }
     EXPECT_EQ(std::memcmp(lr.weights().data(), reference.weights().data(),
                           dim * sizeof(double)),
@@ -356,7 +500,7 @@ TEST(LogisticRegressionTest, FitMatchesOneRowLoopBitwise) {
                           n * sizeof(double)),
               0)
         << "n=" << n << " dim=" << dim << ": PredictProba";
-    return epochs;
+    return steps;
   };
   const LogisticRegressionOptions defaults;
   for (const size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 704u, 705u}) {
@@ -368,9 +512,49 @@ TEST(LogisticRegressionTest, FitMatchesOneRowLoopBitwise) {
   LogisticRegressionOptions loose;
   loose.tolerance = 1e-2;
   for (const size_t n : {703u, 705u}) {
-    EXPECT_LT(check(n, 32, /*soft=*/false, /*weighted=*/true, loose),
-              loose.max_epochs);
+    const int loose_steps =
+        check(n, 32, /*soft=*/false, /*weighted=*/true, loose);
+    EXPECT_LT(loose_steps,
+              check(n, 32, /*soft=*/false, /*weighted=*/true, defaults));
   }
+  const LogisticRegressionOptions unpenalized{.l2 = 0.0};
+  for (const size_t n : {9u, 705u}) {
+    check(n, 3, /*soft=*/true, /*weighted=*/true, unpenalized,
+          Design::kConstantColumn);
+  }
+  for (int repeat = 0; repeat < 12; ++repeat) {
+    check(17, 8, /*soft=*/false, /*weighted=*/false, defaults,
+          Design::kCauchyNoise);
+  }
+  // The cases reach both fallbacks of the contract.
+  EXPECT_GT(restarts, 0);
+  EXPECT_GT(halvings, 0);
+}
+
+TEST(LogisticRegressionTest, FitIsBitwiseIdenticalAtOneAndFourThreads) {
+  // The serve corpus's shape: Gemm and LogisticProba split it across the
+  // pool at 4 threads, and the head must keep its bits.
+  Rng rng(21);
+  const Matrix x = RandomNormal(20000, 32, &rng);
+  std::vector<int> labels(x.rows());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    labels[i] = x(i, 0) + rng.Normal() > 0.0 ? 1 : 0;
+  }
+  LogisticRegression serial;
+  LogisticRegression parallel;
+  SetGlobalThreads(1);
+  ASSERT_TRUE(serial.Fit(x, labels).ok());
+  SetGlobalThreads(4);
+  ASSERT_TRUE(parallel.Fit(x, labels).ok());
+  SetGlobalThreads(0);  // Restore the RLL_THREADS / serial default.
+  EXPECT_LT(serial.iterations(), LogisticRegression::kMaxIterations);
+  EXPECT_EQ(serial.iterations(), parallel.iterations());
+  EXPECT_EQ(std::memcmp(serial.weights().data(), parallel.weights().data(),
+                        32 * sizeof(double)),
+            0);
+  const double serial_bias = serial.bias();
+  const double parallel_bias = parallel.bias();
+  EXPECT_EQ(std::memcmp(&serial_bias, &parallel_bias, sizeof(double)), 0);
 }
 
 // -------------------------------------------------------------------- PCA
