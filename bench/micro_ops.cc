@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -354,6 +355,25 @@ BENCHMARK_CAPTURE(BM_LogisticRegressionFit, fold_704x32, 704)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_LogisticRegressionFit, serve_20000x32, 20000)
     ->Unit(benchmark::kMillisecond);
+
+// The fit's worst case, every step to the cap: 17×8 features x·e^{4·N(0,1)}
+// under random labels (the cap case of LogisticRegressionTest.
+// StopsAboveTheToleranceAndCountsIt), where the line search halves α
+// several times a step.
+void BM_LogisticRegressionFitToTheCap(benchmark::State& state) {
+  Rng rng(9);
+  Matrix x = RandomNormal(17, 8, &rng);
+  for (size_t i = 0; i < x.size(); ++i) x[i] *= std::exp(4.0 * rng.Normal());
+  std::vector<int> labels(x.rows());
+  for (int& label : labels) label = rng.Bernoulli(0.5) ? 1 : 0;
+  classify::LogisticRegression lr;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lr.Fit(x, labels));
+  }
+  state.counters["iterations"] = lr.iterations();
+}
+BENCHMARK(BM_LogisticRegressionFitToTheCap)->Unit(benchmark::kMillisecond);
 
 void BM_TranscriptGeneration(benchmark::State& state) {
   Rng rng(11);

@@ -36,8 +36,10 @@ class LogisticRegression {
   ///
   /// Minimizes f(w, b) = Σ sᵢ·CE(tᵢ, σ(xᵢ·w + b)) / Σ sᵢ + ½·l2·‖w‖² by
   /// damped Newton from w = 0, b = 0. It stops once ‖∇f‖∞ < tolerance,
-  /// after kMaxIterations steps, or when it finds no step that lowers ‖∇f‖
-  /// enough. Each step:
+  /// after kMaxIterations steps, when no shift lets H factor (an H whose
+  /// entries overflow), or when it finds no step that lowers ‖∇f‖ enough.
+  /// The last three return OK with the head reached so far and count in
+  /// rll_logreg_unconverged_total. Each step:
   ///  * ∇f is LogisticGradient's plus l2·w, and the scores pᵢ are
   ///    LogisticProba's (tensor/ops.h).
   ///  * H = X̃ᵀDX̃ plus l2 on the weights' diagonal, X̃ = [X 1] and
@@ -52,6 +54,10 @@ class LogisticRegression {
   ///    with ‖∇f(θ + αΔ)‖² ≤ (1 − 2·10⁻⁴·α)·‖∇f(θ)‖²: Armijo on ½‖∇f‖²,
   ///    whose slope along the Newton direction is −‖∇f‖². That gradient is
   ///    the next step's.
+  /// At most the work of kMaxIterations steps of one LogisticProba pass,
+  /// one Hessian (n·(dim+1)² multiply-adds) and 31 LogisticGradient
+  /// passes, plus one gradient pass. Badly scaled small inputs reach the
+  /// cap; fits on the paper's data stop on the tolerance in 3–7 steps.
   /// Each operation is an IEEE +, −, ×, ÷ or √ (no libm) and each sum runs
   /// in a fixed order; the kernels give the same bits at any thread count
   /// and vector level, and so does the fitted head.

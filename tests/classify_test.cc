@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/threading.h"
 #include "kernel_isa_expect.h"
+#include "obs/metrics.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -258,6 +259,10 @@ class OneRowLoopFit {
     return max;
   }
 
+  // Why a fit stopped: below the tolerance, at the step cap, with no
+  // shift that factors H, or with no α that passes the search.
+  enum class Stop { kTolerance, kCap, kNoFactor, kNoStep };
+
   // Returns the number of Newton steps taken.
   int Fit(const Matrix& x, const std::vector<double>& targets,
           const std::vector<double>& s) {
@@ -270,6 +275,7 @@ class OneRowLoopFit {
     bias_ = 0.0;
     std::vector<double> g = Gradient(x, targets, s, options_.l2, weights_, 0.0);
     int steps = 0;
+    stop_ = Stop::kCap;
     while (!(MaxAbs(g) < options_.tolerance) &&
            steps < LogisticRegression::kMaxIterations) {
       // The rows of X̃ = [X 1] scaled by √D, D = p(1 − p)·s / Σs.
@@ -296,7 +302,10 @@ class OneRowLoopFit {
       }
       for (size_t j = 0; j < dim; ++j) h(j, j) += options_.l2;
       std::vector<double> step;
-      if (!Solve(h, g, &step, &restarts_)) break;
+      if (!Solve(h, g, &step, &restarts_)) {
+        stop_ = Stop::kNoFactor;
+        return steps;
+      }
       // Halve α from 1 until ‖∇f‖² falls by the Armijo fraction.
       bool stepped = false;
       double alpha = 1.0;
@@ -319,9 +328,13 @@ class OneRowLoopFit {
         }
         alpha *= 0.5;
       }
-      if (!stepped) break;
+      if (!stepped) {
+        stop_ = Stop::kNoStep;
+        return steps;
+      }
       ++steps;
     }
+    if (MaxAbs(g) < options_.tolerance) stop_ = Stop::kTolerance;
     return steps;
   }
 
@@ -335,6 +348,7 @@ class OneRowLoopFit {
 
   const Matrix& weights() const { return weights_; }
   double bias() const { return bias_; }
+  Stop stop() const { return stop_; }
   // Shifted restarts of the factor and halvings of α, over every fit.
   int restarts() const { return restarts_; }
   int halvings() const { return halvings_; }
@@ -429,9 +443,54 @@ class OneRowLoopFit {
   LogisticRegressionOptions options_;
   Matrix weights_;
   double bias_ = 0.0;
+  Stop stop_ = Stop::kTolerance;
   int restarts_ = 0;
   int halvings_ = 0;
 };
+
+// One fit's inputs. `weights` holds every sample weight (all 1 when
+// unweighted); an unweighted fit passes the head no weights at all.
+struct FitCase {
+  Matrix x;
+  std::vector<double> targets;
+  std::vector<double> weights;
+  bool weighted = false;
+};
+
+// Fits `lr` and the reference on `c` and expects OK, the same number of
+// steps and the same bits in the weights, the bias and PredictProba.
+// Returns the reference, for why it stopped and its fallbacks.
+OneRowLoopFit ExpectSameFit(const FitCase& c,
+                            const LogisticRegressionOptions& options,
+                            LogisticRegression& lr) {
+  const size_t n = c.x.rows();
+  const size_t dim = c.x.cols();
+  OneRowLoopFit reference(options);
+  const int steps = reference.Fit(c.x, c.targets, c.weights);
+  EXPECT_TRUE(lr.Fit(c.x, c.targets,
+                     c.weighted ? c.weights : std::vector<double>{})
+                  .ok());
+  EXPECT_EQ(lr.iterations(), steps);
+  if (!lr.weights().SameShape(reference.weights())) {
+    ADD_FAILURE() << "weight shape";
+    return reference;
+  }
+  EXPECT_EQ(std::memcmp(lr.weights().data(), reference.weights().data(),
+                        dim * sizeof(double)),
+            0)
+      << "weights";
+  const double bias = lr.bias();
+  const double reference_bias = reference.bias();
+  EXPECT_EQ(std::memcmp(&bias, &reference_bias, sizeof(double)), 0)
+      << "bias";
+  const std::vector<double> proba = lr.PredictProba(c.x);
+  const std::vector<double> reference_proba = reference.PredictProba(c.x);
+  EXPECT_EQ(std::memcmp(proba.data(), reference_proba.data(),
+                        n * sizeof(double)),
+            0)
+      << "PredictProba";
+  return reference;
+}
 
 TEST(LogisticRegressionTest, FitMatchesOneRowLoopBitwise) {
   // Every tail length of the 8-, 4- and 2-row blocks, at the paper's
@@ -446,89 +505,142 @@ TEST(LogisticRegressionTest, FitMatchesOneRowLoopBitwise) {
   // returned head, recomputed one row at a time, is below it.
   enum class Design { kNormal, kConstantColumn, kCauchyNoise };
   Rng rng(9);
-  int restarts = 0;
-  int halvings = 0;
-  const auto check = [&](size_t n, size_t dim, bool soft, bool weighted,
-                         const LogisticRegressionOptions& options,
-                         Design design = Design::kNormal) -> int {
-    Matrix x = RandomNormal(n, dim, &rng);
+  const auto make = [&](size_t n, size_t dim, bool soft, bool weighted,
+                        Design design = Design::kNormal) {
+    FitCase c{RandomNormal(n, dim, &rng), std::vector<double>(n),
+              std::vector<double>(n, 1.0), weighted};
     if (design == Design::kConstantColumn) {
-      for (size_t i = 0; i < n; ++i) x(i, dim - 1) = 1.0;
+      for (size_t i = 0; i < n; ++i) c.x(i, dim - 1) = 1.0;
     }
     if (design == Design::kCauchyNoise) {
-      for (size_t i = 0; i < x.size(); ++i) x[i] /= rng.Normal();
+      for (size_t i = 0; i < c.x.size(); ++i) c.x[i] /= rng.Normal();
     }
-    std::vector<double> targets(n);
-    std::vector<double> w(n, 1.0);
     for (size_t i = 0; i < n; ++i) {
       const double p = design == Design::kCauchyNoise
                            ? 0.5
-                           : 1.0 / (1.0 + std::exp(-2.0 * x(i, 0)));
-      targets[i] = soft ? p : static_cast<double>(rng.Bernoulli(p));
-      if (weighted) w[i] = rng.Uniform(0.1, 2.0);
+                           : 1.0 / (1.0 + std::exp(-2.0 * c.x(i, 0)));
+      c.targets[i] = soft ? p : static_cast<double>(rng.Bernoulli(p));
+      if (weighted) c.weights[i] = rng.Uniform(0.1, 2.0);
     }
-    OneRowLoopFit reference(options);
-    const int steps = reference.Fit(x, targets, w);
+    return c;
+  };
+  int restarts = 0;
+  int halvings = 0;
+  const auto check = [&](const FitCase& c,
+                         const LogisticRegressionOptions& options) -> int {
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << c.x.rows() << " dim=" << c.x.cols()
+                 << " weighted=" << c.weighted
+                 << " tolerance=" << options.tolerance);
+    LogisticRegression lr(options);
+    const OneRowLoopFit reference = ExpectSameFit(c, options, lr);
     restarts += reference.restarts();
     halvings += reference.halvings();
-    LogisticRegression lr(options);
-    EXPECT_TRUE(lr.Fit(x, targets, weighted ? w : std::vector<double>{}).ok());
-    EXPECT_EQ(lr.iterations(), steps) << "n=" << n << " dim=" << dim;
-    EXPECT_LT(steps, LogisticRegression::kMaxIterations)
-        << "n=" << n << " dim=" << dim;
+    EXPECT_EQ(reference.stop(), OneRowLoopFit::Stop::kTolerance);
+    EXPECT_LT(lr.iterations(), LogisticRegression::kMaxIterations);
     EXPECT_LT(OneRowLoopFit::MaxAbs(OneRowLoopFit::Gradient(
-                  x, targets, w, options.l2, lr.weights(), lr.bias())),
-              options.tolerance)
-        << "n=" << n << " dim=" << dim << " soft=" << soft
-        << " weighted=" << weighted;
-    if (!lr.weights().SameShape(reference.weights())) {
-      ADD_FAILURE() << "n=" << n << " dim=" << dim << ": weight shape";
-      return steps;
-    }
-    EXPECT_EQ(std::memcmp(lr.weights().data(), reference.weights().data(),
-                          dim * sizeof(double)),
-              0)
-        << "n=" << n << " dim=" << dim << " soft=" << soft
-        << " weighted=" << weighted;
-    const double bias = lr.bias();
-    const double reference_bias = reference.bias();
-    EXPECT_EQ(std::memcmp(&bias, &reference_bias, sizeof(double)), 0)
-        << "n=" << n << " dim=" << dim;
-    const std::vector<double> proba = lr.PredictProba(x);
-    const std::vector<double> reference_proba = reference.PredictProba(x);
-    EXPECT_EQ(std::memcmp(proba.data(), reference_proba.data(),
-                          n * sizeof(double)),
-              0)
-        << "n=" << n << " dim=" << dim << ": PredictProba";
-    return steps;
+                  c.x, c.targets, c.weights, options.l2, lr.weights(),
+                  lr.bias())),
+              options.tolerance);
+    return lr.iterations();
   };
   const LogisticRegressionOptions defaults;
   for (const size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 704u, 705u}) {
     for (const size_t dim : {3u, 32u}) {
-      check(n, dim, /*soft=*/false, /*weighted=*/false, defaults);
-      check(n, dim, /*soft=*/true, /*weighted=*/true, defaults);
+      check(make(n, dim, /*soft=*/false, /*weighted=*/false), defaults);
+      check(make(n, dim, /*soft=*/true, /*weighted=*/true), defaults);
     }
   }
-  LogisticRegressionOptions loose;
-  loose.tolerance = 1e-2;
+  // The same problem stops sooner at a looser tolerance.
+  const LogisticRegressionOptions loose{.tolerance = 1e-2};
   for (const size_t n : {703u, 705u}) {
-    const int loose_steps =
-        check(n, 32, /*soft=*/false, /*weighted=*/true, loose);
-    EXPECT_LT(loose_steps,
-              check(n, 32, /*soft=*/false, /*weighted=*/true, defaults));
+    const FitCase c = make(n, 32, /*soft=*/false, /*weighted=*/true);
+    EXPECT_LT(check(c, loose), check(c, defaults)) << "n=" << n;
   }
   const LogisticRegressionOptions unpenalized{.l2 = 0.0};
   for (const size_t n : {9u, 705u}) {
-    check(n, 3, /*soft=*/true, /*weighted=*/true, unpenalized,
-          Design::kConstantColumn);
+    check(make(n, 3, /*soft=*/true, /*weighted=*/true,
+               Design::kConstantColumn),
+          unpenalized);
   }
   for (int repeat = 0; repeat < 12; ++repeat) {
-    check(17, 8, /*soft=*/false, /*weighted=*/false, defaults,
-          Design::kCauchyNoise);
+    check(make(17, 8, /*soft=*/false, /*weighted=*/false,
+               Design::kCauchyNoise),
+          defaults);
   }
   // The cases reach both fallbacks of the contract.
   EXPECT_GT(restarts, 0);
   EXPECT_GT(halvings, 0);
+}
+
+TEST(LogisticRegressionTest, StopsAboveTheToleranceAndCountsIt) {
+  // Each of the fit's three stops above its tolerance returns OK with the
+  // reference's bits, adds one to rll_logreg_unconverged_total and puts
+  // its steps in rll_logreg_iterations:
+  //  * the cap: features x·e^{4·N(0,1)} under random labels, so badly
+  //    scaled that the search crawls at small α for all its steps;
+  //  * no step: tolerance 0, which the rounded ‖∇f‖∞ never goes below;
+  //    near the optimum no α lowers the rounded ‖∇f‖ enough;
+  //  * no factor: a feature near 1e160, whose square overflows, so H has
+  //    an infinite diagonal that no shift lets factor; the head stays 0.
+  // A fit that meets its tolerance counts nothing.
+  Rng rng(21);
+  FitCase normal{RandomNormal(40, 3, &rng), std::vector<double>(40),
+                 std::vector<double>(40, 1.0)};
+  for (size_t i = 0; i < 40; ++i) normal.targets[i] = rng.Bernoulli(0.5);
+  const LogisticRegressionOptions defaults;
+  // Registers the metrics, which the checks below read before each fit.
+  ASSERT_TRUE(LogisticRegression(defaults)
+                  .Fit(normal.x, normal.targets, normal.weights)
+                  .ok());
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  obs::Counter* fits = registry.GetCounter("rll_logreg_fits_total");
+  obs::Counter* unconverged =
+      registry.GetCounter("rll_logreg_unconverged_total");
+  obs::Histogram* iterations = registry.GetHistogram("rll_logreg_iterations");
+  const auto expect_stop = [&](const FitCase& c,
+                               const LogisticRegressionOptions& options,
+                               OneRowLoopFit::Stop stop) -> int {
+    const uint64_t fits_before = fits->value();
+    const uint64_t unconverged_before = unconverged->value();
+    const uint64_t count_before = iterations->count();
+    const double sum_before = iterations->sum();
+    LogisticRegression lr(options);
+    const OneRowLoopFit reference = ExpectSameFit(c, options, lr);
+    EXPECT_EQ(reference.stop(), stop);
+    EXPECT_EQ(fits->value() - fits_before, 1u);
+    EXPECT_EQ(unconverged->value() - unconverged_before,
+              stop == OneRowLoopFit::Stop::kTolerance ? 0u : 1u);
+    EXPECT_EQ(iterations->count() - count_before, 1u);
+    EXPECT_EQ(iterations->sum() - sum_before, lr.iterations());
+    return lr.iterations();
+  };
+
+  const int converged =
+      expect_stop(normal, defaults, OneRowLoopFit::Stop::kTolerance);
+  EXPECT_LT(converged, LogisticRegression::kMaxIterations);
+
+  Rng scaled_rng(9);
+  FitCase scaled{RandomNormal(17, 8, &scaled_rng), std::vector<double>(17),
+                 std::vector<double>(17, 1.0)};
+  for (size_t i = 0; i < scaled.x.size(); ++i) {
+    scaled.x[i] *= std::exp(4.0 * scaled_rng.Normal());
+  }
+  for (size_t i = 0; i < 17; ++i) {
+    scaled.targets[i] = scaled_rng.Bernoulli(0.5);
+  }
+  EXPECT_EQ(expect_stop(scaled, defaults, OneRowLoopFit::Stop::kCap),
+            LogisticRegression::kMaxIterations);
+
+  const int no_step = expect_stop(normal, {.tolerance = 0.0},
+                                  OneRowLoopFit::Stop::kNoStep);
+  EXPECT_GT(no_step, converged);
+  EXPECT_LT(no_step, LogisticRegression::kMaxIterations);
+
+  FitCase overflow = normal;
+  for (size_t i = 0; i < 40; ++i) overflow.x(i, 2) *= 1e160;
+  EXPECT_EQ(expect_stop(overflow, defaults, OneRowLoopFit::Stop::kNoFactor),
+            0);
 }
 
 TEST(LogisticRegressionTest, FitIsBitwiseIdenticalAtOneAndFourThreads) {
