@@ -36,8 +36,9 @@ class LogisticRegression {
   ///
   /// Minimizes f(w, b) = Σ sᵢ·CE(tᵢ, σ(xᵢ·w + b)) / Σ sᵢ + ½·l2·‖w‖² by
   /// damped Newton from w = 0, b = 0. It stops once ‖∇f‖∞ < tolerance,
-  /// after kMaxIterations steps, when no shift lets H factor (an H whose
-  /// entries overflow), or when it finds no step that lowers ‖∇f‖ enough.
+  /// after kMaxIterations steps, when no shift lets H factor (H = 0, as
+  /// when l2 = 0 and every score rounds to exactly 0 or 1, or an H that
+  /// overflows), or when it finds no step that lowers ‖∇f‖ enough.
   /// The last three return OK with the head reached so far and count in
   /// rll_logreg_unconverged_total. Each step:
   ///  * ∇f is LogisticGradient's plus l2·w, and the scores pᵢ are

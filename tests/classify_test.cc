@@ -579,10 +579,12 @@ TEST(LogisticRegressionTest, StopsAboveTheToleranceAndCountsIt) {
   // its steps in rll_logreg_iterations:
   //  * the cap: features x·e^{4·N(0,1)} under random labels, so badly
   //    scaled that the search crawls at small α for all its steps;
-  //  * no step: tolerance 0, which the rounded ‖∇f‖∞ never goes below;
-  //    near the optimum no α lowers the rounded ‖∇f‖ enough;
-  //  * no factor: a feature near 1e160, whose square overflows, so H has
-  //    an infinite diagonal that no shift lets factor; the head stays 0.
+  //  * no step: tolerance 0, which ‖∇f‖∞ can never go below; near the
+  //    optimum no α lowers the rounded ‖∇f‖ enough;
+  //  * no factor: tolerance 0 again, l2 = 0 and one class on a constant
+  //    column, whose optimum is at infinity: once every score rounds to
+  //    exactly 1, D and so H are 0, and so is every shift, a multiple of
+  //    max Hⱼⱼ.
   // A fit that meets its tolerance counts nothing.
   Rng rng(21);
   FitCase normal{RandomNormal(40, 3, &rng), std::vector<double>(40),
@@ -637,10 +639,12 @@ TEST(LogisticRegressionTest, StopsAboveTheToleranceAndCountsIt) {
   EXPECT_GT(no_step, converged);
   EXPECT_LT(no_step, LogisticRegression::kMaxIterations);
 
-  FitCase overflow = normal;
-  for (size_t i = 0; i < 40; ++i) overflow.x(i, 2) *= 1e160;
-  EXPECT_EQ(expect_stop(overflow, defaults, OneRowLoopFit::Stop::kNoFactor),
-            0);
+  const FitCase one_class{Matrix(6, 1, 1.0), std::vector<double>(6, 1.0),
+                          std::vector<double>(6, 1.0)};
+  const int no_factor = expect_stop(one_class, {.l2 = 0.0, .tolerance = 0.0},
+                                    OneRowLoopFit::Stop::kNoFactor);
+  EXPECT_GT(no_factor, 0);
+  EXPECT_LT(no_factor, LogisticRegression::kMaxIterations);
 }
 
 TEST(LogisticRegressionTest, FitIsBitwiseIdenticalAtOneAndFourThreads) {
